@@ -50,14 +50,7 @@ def main():
     args = ap.parse_args()
 
     try:
-        try:
-            binary = build()
-        except subprocess.CalledProcessError:
-            # A stale build tree (say, configured from another checkout):
-            # start it afresh once.
-            shutil.rmtree(os.path.join(out_dir(), "perfbench"),
-                          ignore_errors=True)
-            binary = build()
+        binary = build()
     except (OSError, subprocess.CalledProcessError) as e:
         print(f"build failed: {e}", file=sys.stderr)
         return 1
