@@ -171,7 +171,6 @@ int main(int Argc, char **Argv) {
     reportRow("skewed/oneshard/update_speedup", SeqT / ParT, "x");
   }
 
-  recordMetric("machine/workers", double(numWorkers()));
   finishMetricTrail(CL);
   return 0;
 }

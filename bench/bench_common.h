@@ -21,6 +21,7 @@
 #include "util/command_line.h"
 #include "util/timer.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <string>
@@ -116,6 +117,17 @@ inline void printHeader(const char *Title) {
 
 inline void printEnvironment() {
   std::printf("machine: %d workers\n", numWorkers());
+}
+
+/// The \p P-quantile (0 <= P <= 1) of \p Samples, sorted in place: the
+/// element at rank round(P * (n - 1)), 0 when empty. P = 0.5 picks
+/// element n / 2, the same median as medianTime().
+inline double percentile(std::vector<double> &Samples, double P) {
+  if (Samples.empty())
+    return 0.0;
+  std::sort(Samples.begin(), Samples.end());
+  size_t I = size_t(P * double(Samples.size() - 1) + 0.5);
+  return Samples[std::min(I, Samples.size() - 1)];
 }
 
 inline std::string fmtTime(double Seconds) {
@@ -220,11 +232,14 @@ inline bool writeBenchJson(
   return true;
 }
 
-/// Standard tail of a metric-trail benchmark: honor -compare (load before
-/// printing is the caller's job via loadBenchBaseline) and -json.
+/// Standard tail of a metric-trail benchmark: record the worker count
+/// every trail row was measured with (machine/workers), then honor -json
+/// (-compare is loaded before printing, by the caller via
+/// loadBenchBaseline).
 inline void finishMetricTrail(
     const CommandLine &CL,
     const std::vector<std::pair<std::string, std::string>> &StringMeta = {}) {
+  recordMetric("machine/workers", double(numWorkers()));
   std::string JsonPath = CL.getString("json");
   if (!JsonPath.empty()) {
     if (writeBenchJson(JsonPath, StringMeta))

@@ -2,21 +2,18 @@
 //
 // Section A reproduces Table 7: one writer thread applies single edge
 // updates (each an undirected edge = two directed updates in one batch)
-// while a query thread runs BFS from random sources on acquired
-// snapshots. Reports update throughput (directed edges/sec), the average
-// latency to make an edge visible, and the average BFS latency running
-// concurrently with updates (C) versus in isolation (I).
+// to a one-shard store while a query thread runs BFS from random sources
+// on acquired snapshots. Reports update throughput (directed edges/sec),
+// the average latency to make an edge visible, and the average BFS
+// latency running concurrently with updates (C) versus in isolation (I).
 //
-// Section B measures the sharded store (store/sharded_graph.h): batch
-// ingest throughput of the single-writer VersionedGraph baseline versus
-// ShardedGraphStore at 1/2/4 shards (and 8 with -large) on rmat inputs,
-// with -writers concurrent ingest threads, while a reader thread samples
+// Section B measures the store (store/sharded_graph.h): batch ingest
+// throughput at 1/2/4 shards (and 8 with -large) on rmat inputs, with
+// -writers concurrent ingest threads, while a reader thread samples
 // epoch-acquire + degree-probe latency percentiles and checks that every
 // acquired epoch is a consistent cut (per-shard counts sum to the
-// aggregate). Ingest work per shard runs in parallel, so the
-// sharded/single ratio tracks the worker count; on a single hardware
-// thread it isolates the pipeline's constant-factor wins (counting-sort
-// grouping, span routing).
+// aggregate). Ingest work per shard runs in parallel, so the 4-shard /
+// 1-shard ratio tracks the worker count.
 //
 // Metric trail: -json <path> writes every reported metric as flat JSON
 // (BENCH_concurrent.json is the committed trail; CI uploads it), and
@@ -28,7 +25,6 @@
 #include "bench_common.h"
 
 #include "algorithms/bfs.h"
-#include "graph/versioned_graph.h"
 #include "store/sharded_graph.h"
 
 #include <algorithm>
@@ -57,8 +53,8 @@ void runTable7(const BenchConfig &C, const BenchInput &In,
     else
       Deletes.push_back(In.Edges[Perm[I]]);
   }
-  Graph Start = Graph::fromEdges(In.N, In.Edges).deleteEdges(Inserts);
-  VersionedGraph VG(std::move(Start));
+  ShardedGraphStore Store(1, In.N, In.Edges);
+  Store.deleteBatch(Inserts);
 
   // Build the mixed update stream (insert/delete ops in random order).
   struct Update {
@@ -79,8 +75,8 @@ void runTable7(const BenchConfig &C, const BenchInput &In,
   const int QueryRounds = 10;
   double Isolated;
   {
-    auto V = VG.acquire();
-    FlatSnapshot FS(V.graph());
+    auto V = Store.acquire();
+    FlatSnapshot FS(V.shard(0));
     FlatGraphView FV(FS);
     Isolated = timeIt([&] {
       for (int I = 0; I < QueryRounds; ++I)
@@ -98,9 +94,9 @@ void runTable7(const BenchConfig &C, const BenchInput &In,
     for (const Update &U : Mixed) {
       std::vector<EdgePair> Batch = {U.E, {U.E.second, U.E.first}};
       if (U.Insert)
-        VG.insertEdgesBatch(Batch);
+        Store.insertBatch(Batch);
       else
-        VG.deleteEdgesBatch(Batch);
+        Store.deleteBatch(Batch);
       Updates.fetch_add(2, std::memory_order_relaxed);
     }
     WriterSeconds = T.elapsed();
@@ -110,8 +106,8 @@ void runTable7(const BenchConfig &C, const BenchInput &In,
   double ConcurrentSum = 0;
   uint64_t ConcurrentQueries = 0;
   while (!WriterDone.load()) {
-    auto V = VG.acquire();
-    FlatSnapshot FS(V.graph());
+    auto V = Store.acquire();
+    FlatSnapshot FS(V.shard(0));
     FlatGraphView FV(FS);
     ConcurrentSum += timeIt([&] {
       bfs(FV, VertexId(hashAt(C.Seed, ConcurrentQueries) % In.N));
@@ -141,19 +137,11 @@ void runTable7(const BenchConfig &C, const BenchInput &In,
 }
 
 //===----------------------------------------------------------------------===
-// Section B: sharded batch ingest vs the single-writer baseline.
+// Section B: batch ingest across shard counts.
 //===----------------------------------------------------------------------===
 
 /// Escape hatch so the reader's degree probes aren't optimized away.
 volatile uint64_t GProbeSink = 0;
-
-double percentile(std::vector<double> &Samples, double P) {
-  if (Samples.empty())
-    return 0.0;
-  std::sort(Samples.begin(), Samples.end());
-  size_t I = size_t(P * double(Samples.size() - 1) + 0.5);
-  return Samples[std::min(I, Samples.size() - 1)];
-}
 
 struct IngestResult {
   double Seconds = 0;
@@ -205,7 +193,7 @@ IngestResult driveIngest(const std::vector<std::vector<EdgePair>> &Batches,
 
 void runShardedIngest(const BenchConfig &C, const BenchInput &In,
                       size_t BatchSize, size_t NumBatches, int Writers) {
-  printHeader("sharded store: batch ingest vs single-writer baseline");
+  printHeader("sharded store: batch ingest across shard counts");
   std::printf("%zu batches x %zu directed edges, %d writer thread(s), "
               "%d worker(s)\n",
               NumBatches, BatchSize, Writers, numWorkers());
@@ -220,34 +208,7 @@ void runShardedIngest(const BenchConfig &C, const BenchInput &In,
   std::printf("%-18s %14s %12s %12s %12s %10s\n", "Store", "Edges/sec",
               "reader p50", "p95", "p99", "queries");
 
-  double SingleRate = 0;
-  {
-    VersionedGraph VG(Graph::fromEdges(In.N, In.Edges));
-    // The single store has one writer by definition: extra writer
-    // threads would race set(); keep the stream order instead.
-    IngestResult R = driveIngest(
-        Batches, 1,
-        [&](const std::vector<EdgePair> &B) { VG.insertEdgesBatch(B); },
-        [&](uint64_t Q) {
-          auto V = VG.acquire();
-          uint64_t DegSum = 0;
-          for (int I = 0; I < 64; ++I)
-            DegSum += V.graph().degree(
-                VertexId(hashAt(C.Seed + Q, I) % In.N));
-          GProbeSink += DegSum;
-          return true;
-        });
-    SingleRate = double(TotalEdges) / R.Seconds;
-    std::string Key = "ingest/single/edges_s";
-    recordMetric(Key, SingleRate);
-    recordMetric("ingest/single/reader_p50_s", R.P50);
-    recordMetric("ingest/single/reader_p99_s", R.P99);
-    std::printf("%-18s %14s %12s %12s %12s %10zu%s\n", "single",
-                fmtRate(SingleRate).c_str(), fmtTime(R.P50).c_str(),
-                fmtTime(R.P95).c_str(), fmtTime(R.P99).c_str(),
-                size_t(R.Queries), compareSuffix(Key, SingleRate).c_str());
-  }
-
+  double OneShardRate = 0;
   std::vector<size_t> ShardCounts = {1, 2, 4};
   if (C.Large)
     ShardCounts.push_back(8);
@@ -288,10 +249,12 @@ void runShardedIngest(const BenchConfig &C, const BenchInput &In,
     if (R.ReaderViolations)
       std::printf("  !! %llu torn epochs observed\n",
                   (unsigned long long)R.ReaderViolations);
-    if (Shards == 4 && SingleRate > 0) {
-      recordMetric("ingest/sharded4_vs_single", Rate / SingleRate);
-      std::printf("\n4-shard / single-writer ingest ratio: %.2fx\n",
-                  Rate / SingleRate);
+    if (Shards == 1)
+      OneShardRate = Rate;
+    if (Shards == 4 && OneShardRate > 0) {
+      recordMetric("ingest/sharded4_vs_sharded1", Rate / OneShardRate);
+      std::printf("\n4-shard / 1-shard ingest ratio: %.2fx\n",
+                  Rate / OneShardRate);
     }
   }
 }

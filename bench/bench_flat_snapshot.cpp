@@ -23,7 +23,7 @@
 #include "bench_common.h"
 
 #include "algorithms/bfs.h"
-#include "graph/versioned_graph.h"
+#include "store/sharded_graph.h"
 
 #include <algorithm>
 
@@ -91,10 +91,10 @@ void runRefresh(const BenchConfig &C, const std::vector<BenchInput> &Inputs) {
   for (const BenchInput &In : Inputs) {
     for (int F = 0; F < 3; ++F) {
       size_t K = std::max<size_t>(1, size_t(double(In.N) * Fracs[F] / 2));
-      VersionedGraph VG(Graph::fromEdges(In.N, In.Edges));
-      auto Warm = VG.acquireFlat(); // populate the hot cache
+      ShardedGraphStore Store(1, In.N, In.Edges);
+      auto Warm = Store.acquireFlat(); // populate the hot cache
       double RebuildT = benchTime(C.Rounds, [&] {
-        FlatSnapshot FS(VG.acquire().graph());
+        FlatSnapshot FS(Store.acquire().shard(0));
       });
 
       // Each round: one batch, then time the catch-up refresh.
@@ -102,22 +102,21 @@ void runRefresh(const BenchConfig &C, const std::vector<BenchInput> &Inputs) {
       uint64_t TouchedSum = 0;
       size_t SharedPages = 0, TotalPages = 1;
       for (int R = 0; R < C.Rounds; ++R) {
-        auto Prev = VG.acquireFlat();
+        auto Prev = Store.acquireFlat();
         auto Batch = updateBatch(In, K, uint64_t(R) * 7919 + F);
         // The digest size this refresh replays: distinct sources of the
         // (sorted, deduplicated) batch.
         for (size_t I = 0; I < Batch.size(); ++I)
           TouchedSum += (I == 0 || Batch[I].first != Batch[I - 1].first);
-        VG.insertEdgesBatch(std::move(Batch));
+        Store.insertBatch(Batch);
         Timer T;
-        auto FS = VG.acquireFlat();
+        auto FE = Store.acquireFlat();
         Times.push_back(T.elapsed());
-        SharedPages = FS->sharedPages();
-        TotalPages = FS->numPages();
+        SharedPages = FE->Flats[0].sharedPages();
+        TotalPages = FE->Flats[0].numPages();
       }
-      std::sort(Times.begin(), Times.end());
-      double RefreshT = Times[Times.size() / 2];
-      auto Stats = VG.flatStats();
+      double RefreshT = percentile(Times, 0.5);
+      auto Stats = Store.flatStats();
       bool AllRefreshed = Stats.Rebuilds == 1; // only the warm-up build
       std::string Scope =
           "refresh/" + In.Name + "/b" + FracNames[F];

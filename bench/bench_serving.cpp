@@ -46,14 +46,6 @@ void reportTime(const std::string &Key, double Seconds) {
               compareSuffix(Key, Seconds).c_str());
 }
 
-double percentile(std::vector<double> &Samples, double P) {
-  if (Samples.empty())
-    return 0.0;
-  std::sort(Samples.begin(), Samples.end());
-  size_t I = size_t(P * double(Samples.size() - 1));
-  return Samples[I];
-}
-
 /// Batches that all land on shard 0 of an S-shard store: the contended
 /// writer stream the coalescing front targets.
 std::vector<std::vector<EdgePair>> hotShardBatches(VertexId N, size_t Shards,
@@ -89,12 +81,10 @@ void benchCoalesce(const BenchConfig &C) {
               "edges ==\n",
               Writers, PerWriter, BatchSize);
 
-  // Serialized baseline: one batch at a time through the shard locks,
-  // group/sort included under the lock (pipelining off) — what a convoy
-  // of direct store calls does.
+  // Serialized baseline: one batch at a time through the shard locks —
+  // what a convoy of direct store calls does.
   auto RunSerialized = [&] {
     ShardedGraphStore S(Shards, N);
-    S.setPipelinedIngest(false);
     for (const auto &B : Batches)
       S.insertBatch(B);
   };

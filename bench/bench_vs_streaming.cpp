@@ -52,8 +52,7 @@ int main(int Argc, char **Argv) {
         StingerGraph ST(In.N);
         Ts.push_back(timeIt([&] { ST.batchInsert(Batch); }));
       }
-      std::sort(Ts.begin(), Ts.end());
-      StT = Ts[Ts.size() / 2];
+      StT = percentile(Ts, 0.5);
     }
     double AspT = benchTime(C.Rounds, [&] {
       Graph G2 = EmptyBase.insertEdges(Batch);

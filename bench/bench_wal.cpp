@@ -26,7 +26,6 @@
 
 #include "bench_common.h"
 
-#include "graph/versioned_graph.h"
 #include "store/replication.h"
 #include "store/sharded_graph.h"
 #include "util/hash.h"
@@ -172,16 +171,15 @@ int main(int Argc, char **Argv) {
     ScratchDir Dir;
     DurabilityOptions O;
     O.Dir = Dir.Path;
-    VersionedGraph VG(O);
+    ShardedGraphStore St(O, 1, 0);
     std::vector<double> Lat;
     Lat.reserve(LatBatches);
     for (size_t I = 0; I < LatBatches; ++I) {
       auto B = Stream.edges(4000000 + I * LatBatchSize, LatBatchSize);
-      Lat.push_back(timeIt([&] { VG.insertEdgesBatch(std::move(B)); }));
+      Lat.push_back(timeIt([&] { St.insertBatch(B); }));
     }
-    std::sort(Lat.begin(), Lat.end());
-    double P50 = Lat[Lat.size() / 2];
-    double P99 = Lat[std::min(Lat.size() - 1, (Lat.size() * 99) / 100)];
+    double P50 = percentile(Lat, 0.50);
+    double P99 = percentile(Lat, 0.99);
     reportTime("wal/commit/p50_s", P50);
     reportTime("wal/commit/p99_s", P99);
     reportRate("wal/commit/p50_eps", double(LatBatchSize) / P50, "edges/s");
@@ -200,13 +198,13 @@ int main(int Argc, char **Argv) {
     DurabilityOptions O;
     O.Dir = Dir.Path;
     {
-      VersionedGraph VG(O);
+      ShardedGraphStore St(O, 1, 0);
       for (size_t I = 0; I < K; ++I)
-        VG.insertEdgesBatch(
+        St.insertBatch(
             Stream.edges(8000000 + I * RecBatchSize, RecBatchSize));
     }
     double RecT = timeIt([&] {
-      VersionedGraph Re(O);
+      ShardedGraphStore Re(O, 1, 0);
       if (Re.durability()->recovered().MaxSeq != K)
         std::abort(); // lost batches: the numbers below would be fiction
     });
@@ -224,13 +222,13 @@ int main(int Argc, char **Argv) {
     O.Dir = Dir.Path;
     O.CheckpointEveryBatches = 192;
     {
-      VersionedGraph VG(O);
+      ShardedGraphStore St(O, 1, 0);
       for (size_t I = 0; I < 256; ++I)
-        VG.insertEdgesBatch(
+        St.insertBatch(
             Stream.edges(16000000 + I * RecBatchSize, RecBatchSize));
     }
     double RecT = timeIt([&] {
-      VersionedGraph Re(O);
+      ShardedGraphStore Re(O, 1, 0);
       if (Re.durability()->recovered().MaxSeq != 256)
         std::abort();
     });
@@ -309,7 +307,6 @@ int main(int Argc, char **Argv) {
                "B/s");
   }
 
-  recordMetric("machine/workers", double(numWorkers()));
   finishMetricTrail(CL);
   return 0;
 }

@@ -2,7 +2,8 @@
 //
 // The paper's headline scenario (Section 7.3): a writer thread ingests a
 // live stream of edge updates while analytics queries run concurrently on
-// consistent snapshots, never blocking each other.
+// consistent snapshots, never blocking each other. The store runs with
+// one shard: the paper's single version list over one graph.
 //
 //   ./examples/streaming_analytics [-scale 14] [-batches 50]
 //
@@ -11,8 +12,8 @@
 #include "algorithms/bfs.h"
 #include "algorithms/cc.h"
 #include "gen/generators.h"
-#include "graph/versioned_graph.h"
 #include "memory/algo_context.h"
+#include "store/sharded_graph.h"
 #include "util/command_line.h"
 #include "util/timer.h"
 
@@ -29,10 +30,9 @@ int main(int Argc, char **Argv) {
   const size_t BatchSize = 2000;
 
   // Start from a moderately dense rMAT graph.
-  VersionedGraph VG(Graph::fromEdges(N, rmatGraphEdges(LogN, 4, 1)));
+  ShardedGraphStore Store(1, N, rmatGraphEdges(LogN, 4, 1));
   std::printf("initial graph: %u vertices, %llu edges\n", N,
-              static_cast<unsigned long long>(
-                  VG.acquire().graph().numEdges()));
+              static_cast<unsigned long long>(Store.acquire().numEdges()));
 
   // Writer: streams rMAT update batches.
   std::atomic<bool> Done{false};
@@ -41,7 +41,7 @@ int main(int Argc, char **Argv) {
     Timer T;
     for (int B = 0; B < Batches; ++B) {
       auto Raw = Stream.edges(uint64_t(B) * BatchSize, BatchSize);
-      VG.insertEdgesBatch(symmetrize(Raw));
+      Store.insertBatch(symmetrize(Raw));
     }
     double S = T.elapsed();
     std::printf("[writer] %d batches of %zu updates in %.3fs "
@@ -60,8 +60,8 @@ int main(int Argc, char **Argv) {
   uint64_t Queries = 0;
   uint64_t LastReached = 0;
   while (!Done.load()) {
-    auto V = VG.acquire();
-    FlatSnapshot FS(V.graph());
+    auto V = Store.acquire();
+    FlatSnapshot FS(V.shard(0));
     FlatGraphView FV(FS);
     auto Dist = bfsDistances(FV, 0, Ctx);
     uint64_t Reached = 0;
@@ -76,13 +76,13 @@ int main(int Argc, char **Argv) {
               static_cast<unsigned long long>(Queries),
               static_cast<unsigned long long>(Ctx.missCount()));
 
-  auto Final = VG.acquire();
+  auto Final = Store.acquire();
   std::printf("[reader] ran %llu BFS queries concurrently; "
               "final reachable set: %llu of %u vertices\n",
               static_cast<unsigned long long>(Queries),
               static_cast<unsigned long long>(LastReached), N);
   std::printf("final graph: %llu edges across %llu versions published\n",
-              static_cast<unsigned long long>(Final.graph().numEdges()),
-              static_cast<unsigned long long>(Final.timestamp()));
+              static_cast<unsigned long long>(Final.numEdges()),
+              static_cast<unsigned long long>(Final.batchSeq()));
   return 0;
 }

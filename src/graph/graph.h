@@ -16,7 +16,7 @@
 // degree) slots: a full build is one write-once O(n)-work traversal, and
 // FlatSnapshotT::refresh derives the flat view of a successor snapshot in
 // O(touched + touched pages) work, sharing every untouched page with the
-// predecessor (copy-on-write). The versioned stores keep a hot-epoch flat
+// predecessor (copy-on-write). The sharded store keeps a hot-epoch flat
 // snapshot continuously maintained this way (acquireFlat()).
 //
 //===----------------------------------------------------------------------===//
@@ -83,6 +83,59 @@ private:
   size_t Cap;
   size_t N = 0;
 };
+
+/// Group a batch by source — the one grouping routine of every batch
+/// path (the snapshot span updates and the sharded store's per-shard
+/// prepare): sort the edges, drop duplicates, and build one (source,
+/// sorted edge set) entry per distinct source under \p P into \p Pairs,
+/// in ascending source order. O(K log K) in the batch, independent of
+/// the vertex universe. The sort runs on packed 64-bit keys (source in
+/// the high half), so each comparison is one integer compare. When
+/// \p TouchedOut is non-null it receives the distinct sources in
+/// ascending order — the per-epoch touched-vertex digest
+/// FlatSnapshotT::refresh consumes, free here because the batch is
+/// already grouped. Grouping scratch lives in borrowed worker-cache
+/// blocks released before return, so the caller's merge never contends
+/// with input-sized blocks. Requires \p K > 0.
+template <class EdgeSet>
+void groupSpan(const EdgePair *Edges, size_t K,
+               typename EdgeSet::BuildParams P,
+               std::optional<GroupedBatchT<EdgeSet>> &Pairs,
+               std::vector<VertexId> *TouchedOut) {
+  static_assert(sizeof(VertexId) == 4, "a sort key packs two vertex ids");
+  assert(K > 0 && "groupSpan of an empty batch");
+  CtxArray<uint64_t> Keys(K);
+  uint64_t *KeysP = Keys.data();
+  parallelFor(0, K, [&](size_t I) {
+    KeysP[I] = uint64_t(Edges[I].first) << 32 | Edges[I].second;
+  });
+  parallelSort(KeysP, K);
+  K = size_t(std::unique(KeysP, KeysP + K) - KeysP);
+  CtxArray<uint32_t> Starts(K);
+  uint32_t *StartsP = Starts.data();
+  size_t Groups = filterIndexInto(
+      K, [&](size_t I) { return uint32_t(I); },
+      [&](size_t I) {
+        return I == 0 || (KeysP[I] >> 32) != (KeysP[I - 1] >> 32);
+      },
+      StartsP);
+  CtxArray<VertexId> Dst(K);
+  VertexId *DstP = Dst.data();
+  parallelFor(0, K, [&](size_t I) { DstP[I] = VertexId(KeysP[I]); });
+  Pairs.emplace(Groups);
+  Pairs->setSize(Groups);
+  parallelFor(0, Groups, [&](size_t G) {
+    size_t Lo = StartsP[G];
+    size_t Hi = (G + 1 < Groups) ? StartsP[G + 1] : K;
+    Pairs->emplaceAt(G, VertexId(KeysP[Lo] >> 32),
+                     EdgeSet::buildSorted(DstP + Lo, Hi - Lo, P));
+  });
+  if (TouchedOut) {
+    TouchedOut->resize(Groups);
+    VertexId *T = TouchedOut->data();
+    parallelFor(0, Groups, [&](size_t G) { T[G] = Pairs->data()[G].first; });
+  }
+}
 
 /// An immutable graph snapshot over edge sets of type \p EdgeSet
 /// (CTreeSet<VertexId, Codec> or UncompressedSet<VertexId>).
@@ -253,10 +306,9 @@ public:
   //===--------------------------------------------------------------------===
 
   /// New snapshot with \p Edges inserted (duplicates combined). Sources
-  /// not yet present are created. The owned vector doubles as the span
-  /// path's mutable workspace, so grouping runs through combineSpan's
+  /// not yet present are created. Grouping runs through groupSpan's
   /// borrowed scratch and makes no input-sized heap allocations.
-  GraphSnapshotT insertEdges(std::vector<EdgePair> Edges) const {
+  GraphSnapshotT insertEdges(const std::vector<EdgePair> &Edges) const {
     return combineSpan(Edges.data(), Edges.size(), /*Insert=*/true,
                        nullptr);
   }
@@ -264,18 +316,16 @@ public:
   /// New snapshot with \p Edges removed. Vertices are kept even when their
   /// edge sets become empty (the paper makes singleton removal optional;
   /// see removeIsolatedVertices()). Unknown sources are ignored.
-  GraphSnapshotT deleteEdges(std::vector<EdgePair> Edges) const {
+  GraphSnapshotT deleteEdges(const std::vector<EdgePair> &Edges) const {
     return combineSpan(Edges.data(), Edges.size(), /*Insert=*/false,
                        nullptr);
   }
 
   //===--------------------------------------------------------------------===
-  // Batch routing helpers. The sharded store's shard merges group their
-  // sub-batches themselves (counting sort over shard-local ids) and
-  // merge through insertGrouped/deleteGrouped; the versioned single
-  // store routes its writer batches through the span paths, which group
-  // through borrowed scratch so steady-state ingest allocates only the
-  // functional-tree structure itself.
+  // Batch routing helpers. Both the span paths below and the sharded
+  // store's shard merges group through groupSpan (borrowed scratch, so
+  // steady-state ingest allocates only the functional-tree structure
+  // itself) and merge through insertGrouped/deleteGrouped.
   //===--------------------------------------------------------------------===
 
   /// MultiInsert of a pre-grouped batch: \p Pairs sorted by vertex id with
@@ -310,23 +360,18 @@ public:
     return GraphSnapshotT(NewRoot, Params);
   }
 
-  /// insertEdges over a caller-owned mutable span: sorts \p Edges in
-  /// place and groups through borrowed scratch (no input-sized heap
-  /// allocation; the new tree structure is the only durable allocation).
-  /// When \p TouchedOut is non-null it receives the batch's distinct
-  /// source ids in ascending order - the per-epoch touched-vertex digest
-  /// the versioned stores feed to FlatSnapshotT::refresh. The digest is
-  /// free to produce: the span path already groups the batch by source.
+  /// insertEdges over a borrowed span, grouped through borrowed scratch
+  /// (no input-sized heap allocation; the new tree structure is the only
+  /// durable allocation). \p TouchedOut as in groupSpan.
   GraphSnapshotT
-  insertEdgesSpan(EdgePair *Edges, size_t K,
+  insertEdgesSpan(const EdgePair *Edges, size_t K,
                   std::vector<VertexId> *TouchedOut = nullptr) const {
     return combineSpan(Edges, K, /*Insert=*/true, TouchedOut);
   }
 
-  /// deleteEdges over a caller-owned mutable span (sorted in place);
-  /// \p TouchedOut as in insertEdgesSpan.
+  /// deleteEdges over a borrowed span; \p TouchedOut as in groupSpan.
   GraphSnapshotT
-  deleteEdgesSpan(EdgePair *Edges, size_t K,
+  deleteEdgesSpan(const EdgePair *Edges, size_t K,
                   std::vector<VertexId> *TouchedOut = nullptr) const {
     return combineSpan(Edges, K, /*Insert=*/false, TouchedOut);
   }
@@ -391,48 +436,14 @@ public:
   }
 
 private:
-  /// Shared core of the span batch paths: in-place sort + dedup, grouping
-  /// and per-source set building in borrowed scratch, then the grouped
-  /// merge. Pairs storage is raw scratch; entries are placement-new'd and
-  /// destroyed explicitly.
-  GraphSnapshotT combineSpan(EdgePair *Edges, size_t K, bool Insert,
+  /// Shared core of the span batch paths: groupSpan, then the grouped
+  /// merge.
+  GraphSnapshotT combineSpan(const EdgePair *Edges, size_t K, bool Insert,
                              std::vector<VertexId> *TouchedOut) const {
     if (K == 0)
       return *this;
-    parallelSort(Edges, K);
-    K = size_t(std::unique(Edges, Edges + K) - Edges);
     std::optional<GroupedBatchT<EdgeSet>> Pairs;
-    {
-      // Grouping scratch scoped to return to the worker caches before
-      // the merge: the merge's chunk-op scratch must not contend with
-      // input-sized blocks held for the whole call.
-      CtxArray<uint32_t> Starts(K);
-      uint32_t *StartsP = Starts.data();
-      size_t Groups = filterIndexInto(
-          K, [&](size_t I) { return uint32_t(I); },
-          [&](size_t I) {
-            return I == 0 || Edges[I].first != Edges[I - 1].first;
-          },
-          StartsP);
-      CtxArray<VertexId> Dst(K);
-      VertexId *DstP = Dst.data();
-      parallelFor(0, K, [&](size_t I) { DstP[I] = Edges[I].second; });
-      Pairs.emplace(Groups);
-      Pairs->setSize(Groups);
-      parallelFor(0, Groups, [&](size_t G) {
-        size_t Lo = StartsP[G];
-        size_t Hi = (G + 1 < Groups) ? StartsP[G + 1] : K;
-        Pairs->emplaceAt(G, Edges[Lo].first,
-                         EdgeSet::buildSorted(DstP + Lo, Hi - Lo, Params));
-      });
-      if (TouchedOut) {
-        TouchedOut->resize(Groups);
-        VertexId *T = TouchedOut->data();
-        parallelFor(0, Groups, [&](size_t G) {
-          T[G] = Pairs->data()[G].first;
-        });
-      }
-    }
+    groupSpan<EdgeSet>(Edges, K, Params, Pairs, TouchedOut);
     return Insert ? insertGrouped(Pairs->data(), Pairs->size())
                   : deleteGrouped(Pairs->data(), Pairs->size());
   }

@@ -18,7 +18,7 @@
 // acquire/release must be called from the owning thread (the algorithms
 // only draw arrays before entering parallel regions; worker threads merely
 // read and write the array memory). Two readers each use their own
-// context and compose with the single-writer versioned graph.
+// context and compose with the store's epoch pins.
 //
 // Memory bounds: by design the caches keep their largest-ever blocks
 // (that is the steady-state zero-alloc contract), so a context that once

@@ -19,6 +19,7 @@
 #include <cassert>
 #include <cstring>
 #include <functional>
+#include <type_traits>
 #include <vector>
 
 namespace aspen {
@@ -253,10 +254,21 @@ void parallelMerge(const T *A, size_t Na, const T *B, size_t Nb, T *Out,
       });
 }
 
+/// Sequential stable sort. Equal integers under std::less are
+/// indistinguishable, so integral keys take the faster in-place
+/// std::sort: stability is free for them.
+template <class T, class Cmp>
+void stableSortSeq(T *Data, size_t N, const Cmp &Less) {
+  if constexpr (std::is_integral_v<T> && std::is_same_v<Cmp, std::less<T>>)
+    std::sort(Data, Data + N);
+  else
+    std::stable_sort(Data, Data + N, Less);
+}
+
 template <class T, class Cmp>
 void mergeSortRec(T *Data, T *Buf, size_t N, const Cmp &Less, bool ToBuf) {
   if (N < 8192) {
-    std::stable_sort(Data, Data + N, Less);
+    stableSortSeq(Data, N, Less);
     if (ToBuf)
       std::copy(Data, Data + N, Buf);
     return;
@@ -277,7 +289,7 @@ void mergeSortRec(T *Data, T *Buf, size_t N, const Cmp &Less, bool ToBuf) {
 template <class T, class Cmp = std::less<T>>
 void parallelSort(T *Data, size_t N, Cmp Less = Cmp()) {
   if (N < 8192 || !detail::parallelismEnabled()) {
-    std::stable_sort(Data, Data + N, Less);
+    detail::stableSortSeq(Data, N, Less);
     return;
   }
   std::vector<T> Buf(N);

@@ -144,13 +144,10 @@ private:
     // commit, which is the pipelining half of the front.
     std::exception_ptr Err;
     std::optional<typename Store::PreparedIngest> P;
-    bool Pipelined = S.pipelinedIngest();
-    if (Pipelined) {
-      try {
-        P.emplace(S.prepareSpans(Spans.data(), Spans.size(), Insert));
-      } catch (...) {
-        Err = std::current_exception();
-      }
+    try {
+      P.emplace(S.prepareSpans(Spans.data(), Spans.size(), Insert));
+    } catch (...) {
+      Err = std::current_exception();
     }
 
     // Single-preparer stage ends: hand the prepare slot to the next
@@ -171,9 +168,7 @@ private:
     uint64_t LastSeq = 0;
     if (!Err) {
       try {
-        LastSeq = Pipelined
-                      ? S.commitPrepared(std::move(*P))
-                      : S.applySpans(Spans.data(), Spans.size(), Insert);
+        LastSeq = S.commitPrepared(std::move(*P));
       } catch (...) {
         Err = std::current_exception();
       }

@@ -1,7 +1,7 @@
 //===- store/durability.h - WAL + checkpoint orchestration ----------------===//
 //
 // Ties the redo log (store/wal.h) and the epoch checkpoints
-// (store/checkpoint.h) into one durable directory that the stores open
+// (store/checkpoint.h) into one durable directory that the store opens
 // behind an opt-in DurabilityOptions (DESIGN.md Section 7):
 //
 //   <dir>/wal-<gen>.log        append-only WAL segments, generation-named
@@ -40,9 +40,9 @@
 // Recovery (performed in the constructor) = newest checkpoint head whose
 // base chain fully resolves (resolveCheckpointChain — every link
 // validates end-to-end), plus the contiguous run of WAL records with
-// sequence numbers above it, in order. The stores replay those records
-// through the same insertEdgesSpan/deleteEdgesSpan batch paths that
-// produced the original epochs — by chunk-boundary determinism (DESIGN.md
+// sequence numbers above it, in order. The store replays those records
+// through the same ingest pipeline that produced the original epochs,
+// one epoch per record — by chunk-boundary determinism (DESIGN.md
 // Section 2) the result is byte-identical to the uncrashed store.
 //
 //===----------------------------------------------------------------------===//
@@ -69,7 +69,7 @@
 
 namespace aspen {
 
-/// Opt-in durability configuration for the stores. A default-constructed
+/// Opt-in durability configuration for the store. A default-constructed
 /// store stays memory-only; passing DurabilityOptions at construction
 /// opens (and if needed recovers) the directory and makes every
 /// acknowledged batch crash-safe.
@@ -119,7 +119,7 @@ struct RecoveredState {
 
 /// The per-store durability orchestrator: owns the directory, the active
 /// WAL segment, segment rotation/trimming, and checkpoint retention.
-/// Thread-safe; the stores call append() under their install ordering
+/// Thread-safe; the store calls append() under its install ordering
 /// and sync() free-threaded.
 class DurabilityEngine {
   struct SealedSegment {

@@ -1,27 +1,30 @@
 //===- store/sharded_graph.h - Sharded versioned graph store --------------===//
 //
-// A hash-partitioned, versioned graph store: vertices are partitioned
-// across S shards (S a power of two), each shard an independent
+// The Aspen version-maintenance interface (Section 6), and the repo's one
+// graph store: vertices are hash-partitioned across S shards (S a power
+// of two; S = 1 is the paper's single graph), each shard an independent
 // purely-functional GraphSnapshotT, and the published state is an *epoch*
-// — an immutable vector of per-shard snapshots installed through the same
-// refcounted version-list core the single-store VersionedGraphT uses.
-// Readers acquire() an epoch and are guaranteed a cross-shard-consistent
-// cut: every epoch is the previous epoch plus exactly one complete batch,
-// so per-shard edge counts always sum to a batch boundary and no reader
-// ever observes a torn batch.
+// — an immutable vector of per-shard snapshots installed through the
+// refcounted version-list core (store/version_list.h). Readers acquire()
+// an epoch and are guaranteed a cross-shard-consistent cut: every epoch
+// is the previous epoch plus complete batches only, so per-shard edge
+// counts always sum to a batch boundary and no reader ever observes a
+// torn batch. Readers are never blocked by writers for more than a
+// pointer swap, giving strict serializability of queries with respect
+// to update batches.
 //
 // Ingest is a pipeline (DESIGN.md Sections 3 and 8):
 //   1. Prepare (no locks): the incoming spans are concatenated into one
 //      merged span, partitioned by shard with filterIndexInto into
 //      borrowed scratch (zero steady-state heap allocation, per the
-//      AlgoContext contract), and each shard's sub-span is grouped with
-//      a counting sort over *local* vertex ids (the hash partition
-//      compresses a shard's id space by S, so the counter array stays
-//      cache-resident — this is what makes grouping cheaper than the
-//      single store's comparison sort). Because the grouping depends
-//      only on the batch, not on the base epoch, this whole phase runs
-//      before any writer lock is taken: batch N+1's group/sort overlaps
-//      batch N's merge/install instead of serializing behind it.
+//      AlgoContext contract), and each shard's sub-span is grouped by
+//      graph.h's groupSpan — a comparison sort of the sub-span, O(K log
+//      K) in the batch and independent of the shard's vertex count, so
+//      a 10-edge batch costs microseconds at any n.
+//      Because the grouping depends only on the batch, not on the base
+//      epoch, this whole phase runs before any writer lock is taken:
+//      batch N+1's group/sort overlaps batch N's merge/install instead
+//      of serializing behind it.
 //   2. Merge: the touched shards' writer locks are taken in ascending
 //      order, then per-shard functional merges multiInsert the prepared
 //      groups in parallel — one writer per shard.
@@ -56,13 +59,12 @@
 #define ASPEN_STORE_SHARDED_GRAPH_H
 
 #include "graph/graph.h"
-#include "graph/versioned_graph.h" // FlatMaintenanceStats + flat tuning
 #include "store/durability.h"
 #include "store/version_list.h"
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
+#include <cassert>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -72,6 +74,22 @@
 #include <vector>
 
 namespace aspen {
+
+/// Rebuild-vs-refresh counters of the store's hot flat snapshot (tests
+/// and benches assert which maintenance path served an acquireFlat()).
+struct FlatMaintenanceStats {
+  uint64_t Rebuilds = 0;  ///< full O(n) flat builds
+  uint64_t Refreshes = 0; ///< O(touched) incremental refreshes
+  uint64_t Hits = 0;      ///< served the cached flat unchanged
+};
+
+/// Tuning constants of the hot-flat maintenance path: refresh when the
+/// replayed digests touch at most universe / FlatRefreshDenominator
+/// distinct vertices, covering at most FlatReplayMaxEpochs epochs;
+/// anything else rebuilds. See DESIGN.md Section 4 for the crossover
+/// analysis.
+inline constexpr uint64_t FlatRefreshDenominator = 8;
+inline constexpr size_t FlatReplayMaxEpochs = 64;
 
 /// A borrowed, immutable view of one submitted batch's edges. Spans
 /// alias caller memory: the edges must stay alive until the apply (or
@@ -166,12 +184,8 @@ public:
   /// Owning shard of a vertex. The partition hash folds the id's low
   /// bits: scattered real-world ids and generator ids both spread evenly,
   /// and the complementary high bits form the shard-local dense id the
-  /// ingest grouping counts on.
+  /// per-shard flat snapshots index by.
   size_t shardOf(VertexId V) const { return size_t(V & Mask); }
-
-  /// Shard-local dense id of \p V (its position in the shard's slice of
-  /// the id space).
-  VertexId localId(VertexId V) const { return V >> LogShards; }
 
   /// Acquire the current epoch. Never blocked by writers for more than a
   /// pointer swap; the returned cut is always a whole-batch boundary.
@@ -219,13 +233,11 @@ public:
   uint64_t applySpans(const EdgeSpan *Spans, size_t N, bool Insert) {
     if (N == 0)
       return batchSeq();
-    if (PipelinedV.load(std::memory_order_relaxed))
-      return commitPrepared(prepareSpans(Spans, N, Insert));
-    return applySerialized(Spans, N, Insert);
+    return commitPrepared(prepareSpans(Spans, N, Insert));
   }
 
   /// A batch group that finished its lock-free prepare phase (split by
-  /// shard + counting-sort grouping + per-group edge-set builds) and is
+  /// shard + groupSpan grouping + per-group edge-set builds) and is
   /// ready to merge/install. Produced by prepareSpans(), consumed by
   /// commitPrepared(). Move-only; its grouped sets live in borrowed
   /// worker-cache scratch, which migrates safely across threads on
@@ -291,7 +303,8 @@ public:
     parallelFor(0, S, [&](size_t Sh) {
       size_t Lo = ShardLoP[Sh], Hi = ShardLoP[Sh + 1];
       if (Hi > Lo)
-        groupShard(Sh, PartsP + Lo, Hi - Lo, P.Groups[Sh], &P.Touched[Sh]);
+        groupSpan<EdgeSet>(PartsP + Lo, Hi - Lo, Params, P.Groups[Sh],
+                           &P.Touched[Sh]);
     }, 1);
     return P;
   }
@@ -312,16 +325,6 @@ public:
         ShardLocks[Sh].lock();
     return mergeInstall(P.Groups, P.Touched, TouchedShP, P.Spans.data(),
                         P.Spans.size(), P.Insert);
-  }
-
-  /// Toggle the pipelined prepare phase (default on). When off, the
-  /// group/sort work runs under the shard locks — the pre-pipelining
-  /// ingest path, kept as the serving benchmark's A/B baseline.
-  void setPipelinedIngest(bool On) {
-    PipelinedV.store(On, std::memory_order_relaxed);
-  }
-  bool pipelinedIngest() const {
-    return PipelinedV.load(std::memory_order_relaxed);
   }
 
   //===--------------------------------------------------------------------===
@@ -371,7 +374,7 @@ public:
     }
 
     /// Parallel traversal over (vertex, edge set) entries of every shard
-    /// (unordered across shards, like the single store's parallel form).
+    /// (unordered across shards, like GraphSnapshotT::forEachVertex).
     template <class F> void forEachVertex(const F &Fn) const {
       for (const Snapshot &S : E->Shards)
         S.forEachVertex(Fn);
@@ -529,7 +532,7 @@ public:
                                       P.second.begin(), P.second.end());
           });
       // Threshold on the *distinct* touched union (hot vertices hit by
-      // several replayed batches count once), as in the single store.
+      // several replayed batches count once).
       uint64_t Total = 0;
       if (Covered) {
         parallelFor(0, S, [&](size_t Sh) {
@@ -694,43 +697,26 @@ private:
       // (untouched shards share these exact roots across replay).
       CkptEpoch = acquire();
       CkptEpochSeq = R.Ckpt->Seq;
+      // Recovery priming: build the hot flat from the checkpoint epoch
+      // (the cache is cold, so this is acquireFlat's rebuild) *before*
+      // replay, so the first post-recovery acquireFlat() takes the
+      // O(touched) refresh path over the replayed batches' digests.
       if (Durable->options().PrimeFlatOnRecover)
-        primeFlatFromCurrent();
+        acquireFlat();
     }
-    // Replay the WAL suffix through the normal pipeline (Recovering
-    // gates the WAL re-append); the digests it records keep the primed
-    // flat cache refreshable.
+    // Replay the WAL suffix through the normal pipeline, one epoch per
+    // logged batch (Recovering gates the WAL re-append); the digests it
+    // records keep the primed flat cache refreshable.
     Recovering = true;
     for (const WalReplayRecord &RR : R.Replay) {
-      uint64_t Seq = applyBatch(RR.Edges.data(), RR.Edges.size(),
-                                RR.Kind == WalKind::InsertBatch);
+      EdgeSpan Span{RR.Edges.data(), RR.Edges.size()};
+      uint64_t Seq =
+          applySpans(&Span, 1, RR.Kind == WalKind::InsertBatch);
       (void)Seq;
       assert(Seq == RR.Seq && "replay must reproduce the batch sequence");
     }
     Recovering = false;
     Durable->dropRecoveredPayload();
-  }
-
-  /// Recovery priming: build the hot flat cache from the current
-  /// (checkpoint) epoch so the first post-recovery acquireFlat() takes
-  /// the O(touched) refresh path over the replayed batches' digests.
-  void primeFlatFromCurrent() {
-    size_t S = numShards();
-    std::lock_guard<std::mutex> Lock(FlatM);
-    Ref E = acquire();
-    auto New = std::make_shared<FlatEpoch>();
-    New->Flats.resize(S);
-    parallelFor(0, S, [&](size_t Sh) {
-      New->Flats[Sh] = Flat(E.shard(Sh), unsigned(LogShards));
-    }, 1);
-    New->BatchSeq = E.batchSeq();
-    New->NumEdges = E.numEdges();
-    New->Universe = E.epoch().Universe;
-    New->LogShards = LogShards;
-    std::atomic_store_explicit(
-        &CachedFlat, std::shared_ptr<const FlatEpoch>(std::move(New)),
-        std::memory_order_release);
-    ++Stats.Rebuilds;
   }
 
   /// Per-epoch touched digest: (shard, ascending touched vertex ids) for
@@ -796,122 +782,6 @@ private:
     }
     ShardLoP[S] = At;
     assert(At == K && "shard split must cover the batch");
-  }
-
-  /// Group shard \p Sh's sub-span by source with a counting sort over
-  /// local ids, building one (global id, sorted edge set) pair per
-  /// distinct source into \p Pairs. \p Sub is mutable scratch. Depends
-  /// only on the batch, never on the base epoch — this is the phase the
-  /// pipeline runs before any lock.
-  ///
-  /// The grouping scratch (counters, scatter buffer) is scoped to return
-  /// to the per-worker cache before the tree merge runs: the merge's own
-  /// chunk-op scratch must not contend with input-sized blocks checked
-  /// out for the whole call (measurably slows the unions otherwise).
-  void groupShard(size_t Sh, EdgePair *Sub, size_t K,
-                  std::optional<GroupedBatchT<EdgeSet>> &Pairs,
-                  std::vector<VertexId> *TouchedOut) const {
-    // Dense local-id range of the batch (not of the shard): counters
-    // cover only ids the batch names.
-    VertexId MaxLocal = 0;
-    for (size_t I = 0; I < K; ++I)
-      MaxLocal = std::max(MaxLocal, localId(Sub[I].first));
-    size_t M = size_t(MaxLocal) + 1;
-
-    // Counting sort by local source id: Starts[l] = first slot of
-    // group l after the exclusive scan; Pos[] advances in the scatter.
-    CtxArray<uint32_t> Starts(M + 1);
-    uint32_t *StartsP = Starts.data();
-    std::memset(StartsP, 0, (M + 1) * sizeof(uint32_t));
-    for (size_t I = 0; I < K; ++I)
-      ++StartsP[localId(Sub[I].first) + 1];
-    for (size_t L = 0; L < M; ++L)
-      StartsP[L + 1] += StartsP[L];
-    CtxArray<uint32_t> Pos(M);
-    uint32_t *PosP = Pos.data();
-    std::memcpy(PosP, StartsP, M * sizeof(uint32_t));
-    CtxArray<VertexId> Dst(K);
-    VertexId *DstP = Dst.data();
-    for (size_t I = 0; I < K; ++I)
-      DstP[PosP[localId(Sub[I].first)]++] = Sub[I].second;
-
-    // One grouped pair per nonempty local id, in increasing id order
-    // (local order implies global order within a shard: global id =
-    // local << LogShards | shard). The per-group sort + set builds are
-    // independent, so they fill the grouped batch in parallel by
-    // index; a skewed batch into one shard then still fans out across
-    // cores instead of serializing behind this loop.
-    CtxArray<uint32_t> GroupIds(M);
-    uint32_t *GroupIdsP = GroupIds.data();
-    size_t Groups = filterIndexInto(
-        M, [](size_t L) { return uint32_t(L); },
-        [&](size_t L) { return StartsP[L + 1] > StartsP[L]; }, GroupIdsP);
-    Pairs.emplace(Groups);
-    Pairs->setSize(Groups);
-    VertexId ShardBits = VertexId(Sh);
-    parallelFor(0, Groups, [&](size_t G) {
-      uint32_t L = GroupIdsP[G];
-      uint32_t Lo = StartsP[L], Hi = StartsP[L + 1];
-      size_t Len = Hi - Lo;
-      if (Len >= 8192)
-        parallelSort(DstP + Lo, Len);
-      else
-        std::sort(DstP + Lo, DstP + Hi);
-      Len = size_t(std::unique(DstP + Lo, DstP + Hi) - (DstP + Lo));
-      VertexId Global = (VertexId(L) << LogShards) | ShardBits;
-      Pairs->emplaceAt(G, Global,
-                       EdgeSet::buildSorted(DstP + Lo, Len, Params));
-    });
-    // The grouped keys double as the epoch's touched-vertex digest for
-    // this shard (ascending local order implies ascending global order
-    // within a shard).
-    if (TouchedOut) {
-      TouchedOut->resize(Groups);
-      VertexId *TP = TouchedOut->data();
-      parallelFor(0, Groups, [&](size_t G) {
-        TP[G] = Pairs->data()[G].first;
-      });
-    }
-  }
-
-  /// One-batch-at-a-time ingest with the group/sort phase under the
-  /// shard locks — the pre-pipelining path, retained for recovery
-  /// replay (batch-per-epoch reproduction) and as the serving
-  /// benchmark's serialized A/B baseline.
-  uint64_t applyBatch(const EdgePair *Edges, size_t K, bool Insert) {
-    size_t S = numShards();
-    // Split: partition the batch by owning shard into scratch.
-    CtxArray<EdgePair> Parts(K);
-    EdgePair *PartsP = Parts.data();
-    CtxArray<size_t> ShardLo(S + 1);
-    size_t *ShardLoP = ShardLo.data();
-    splitByShard(Edges, K, PartsP, ShardLoP);
-
-    // Lock touched shards in ascending order, then group + merge under
-    // the locks (one writer per shard; disjoint-shard batches overlap).
-    CtxArray<uint8_t> TouchedSh(S);
-    uint8_t *TouchedShP = TouchedSh.data();
-    for (size_t Sh = 0; Sh < S; ++Sh)
-      TouchedShP[Sh] = ShardLoP[Sh + 1] > ShardLoP[Sh];
-    for (size_t Sh = 0; Sh < S; ++Sh)
-      if (TouchedShP[Sh])
-        ShardLocks[Sh].lock();
-    std::vector<std::optional<GroupedBatchT<EdgeSet>>> Groups(S);
-    std::vector<std::vector<VertexId>> Touched(S);
-    parallelFor(0, S, [&](size_t Sh) {
-      size_t Lo = ShardLoP[Sh], Hi = ShardLoP[Sh + 1];
-      if (Hi > Lo)
-        groupShard(Sh, PartsP + Lo, Hi - Lo, Groups[Sh], &Touched[Sh]);
-    }, 1);
-    EdgeSpan Span{Edges, K};
-    return mergeInstall(Groups, Touched, TouchedShP, &Span, 1, Insert);
-  }
-
-  uint64_t applySerialized(const EdgeSpan *Spans, size_t N, bool Insert) {
-    uint64_t Seq = batchSeq();
-    for (size_t I = 0; I < N; ++I)
-      Seq = applyBatch(Spans[I].Data, Spans[I].Size, Insert);
-    return Seq;
   }
 
   /// Shared merge + install tail. Preconditions: the shards flagged in
@@ -1071,8 +941,6 @@ private:
   // Lock-free mirror of the published epoch's BatchSeq (stored under
   // CommitM, read by batchSeq() and the acquireFlat fast path).
   std::atomic<uint64_t> PublishedSeqV{0};
-  // Pipelined prepare phase on/off (serving benchmark A/B knob).
-  std::atomic<bool> PipelinedV{true};
 
   // Incremental-checkpoint state (guarded by CkptStateM): the epoch of
   // the last written checkpoint, pinned so shard-root pointer identity

@@ -6,9 +6,9 @@
 // and release() them. Readers are never blocked for more than the duration
 // of a pointer swap and always see a complete, immutable value.
 //
-// The payload T is opaque: graph/versioned_graph.h instantiates it with a
-// single GraphSnapshotT, and store/sharded_graph.h with a cross-shard
-// Epoch (a vector of per-shard snapshots). Reclamation is by reference
+// The payload T is opaque: store/sharded_graph.h instantiates it with a
+// cross-shard Epoch (a vector of per-shard snapshots; one shard is the
+// paper's single graph). Reclamation is by reference
 // count: a version is destroyed once it is no longer current and its last
 // reader releases it, so structural sharing between consecutive versions
 // (purely-functional trees) collapses to exactly the nodes unique to dead

@@ -5,8 +5,7 @@
 // the caller's insert/delete returns. Records carry the store's batch
 // sequence number, so recovery (store/durability.h) can replay exactly
 // the suffix a checkpoint does not cover, in install order, through the
-// same insertEdgesSpan/deleteEdgesSpan paths that produced the original
-// epochs.
+// same ingest pipeline that produced the original epochs.
 //
 // On-disk layout of one segment file:
 //
@@ -234,8 +233,7 @@ struct WalStats {
 /// One open, append-only WAL segment with group commit. A store owns one
 /// (behind DurabilityEngine) and rotates to a fresh segment after each
 /// checkpoint. enqueue() must be called in increasing-Seq order — the
-/// stores call it under their install ordering (single writer, or the
-/// sharded commit lock) — while sync() is free-threaded.
+/// store calls it under its commit lock — while sync() is free-threaded.
 class WalLog {
 public:
   /// Open \p Path for append. An existing segment is scanned and its

@@ -9,7 +9,6 @@
 
 #include "algorithms/bfs.h"
 #include "gen/generators.h"
-#include "graph/versioned_graph.h"
 #include "serve/server.h"
 #include "store/sharded_graph.h"
 
@@ -40,13 +39,13 @@ TEST(Concurrency, ReadersSeeOnlyWholeBatches) {
   const VertexId N = 512;
   const size_t BatchSize = 128;
   const int NumBatches = 60;
-  VersionedGraph VG(Graph::fromEdges(N, {}));
+  ShardedGraphStore Store(1, N);
   std::atomic<bool> Done{false};
   std::atomic<uint64_t> Violations{0};
 
   std::thread Writer([&] {
     for (int B = 0; B < NumBatches; ++B)
-      VG.insertEdgesBatch(disjointBatch(B, BatchSize, N));
+      Store.insertBatch(disjointBatch(B, BatchSize, N));
     Done.store(true);
   });
 
@@ -54,14 +53,14 @@ TEST(Concurrency, ReadersSeeOnlyWholeBatches) {
   for (int R = 0; R < 4; ++R)
     Readers.emplace_back([&] {
       while (!Done.load()) {
-        auto V = VG.acquire();
-        uint64_t E = V.graph().numEdges();
+        auto V = Store.acquire();
+        uint64_t E = V.shard(0).numEdges();
         // Every batch is disjoint, so the count must be an exact multiple
         // of the batch size (no partially-visible batch).
         if (E % BatchSize != 0)
           Violations.fetch_add(1);
         // The version is immutable: re-reading gives the same count.
-        if (V.graph().numEdges() != E)
+        if (V.shard(0).numEdges() != E)
           Violations.fetch_add(1);
       }
     });
@@ -70,14 +69,14 @@ TEST(Concurrency, ReadersSeeOnlyWholeBatches) {
   for (auto &T : Readers)
     T.join();
   EXPECT_EQ(Violations.load(), 0u);
-  EXPECT_EQ(VG.acquire().graph().numEdges(),
+  EXPECT_EQ(Store.acquire().shard(0).numEdges(),
             uint64_t(NumBatches) * BatchSize);
 }
 
 TEST(Concurrency, MixedInsertDeleteWithReaderValidation) {
   const VertexId N = 256;
   auto Fixed = dedupEdges(symmetrize(uniformRandomEdges(N, 2000, 1)));
-  VersionedGraph VG(Graph::fromEdges(N, Fixed));
+  ShardedGraphStore Store(1, N, Fixed);
   std::atomic<bool> Done{false};
   std::atomic<uint64_t> Violations{0};
 
@@ -94,8 +93,8 @@ TEST(Concurrency, MixedInsertDeleteWithReaderValidation) {
 
   std::thread Writer([&] {
     for (int I = 0; I < 25; ++I) {
-      VG.insertEdgesBatch(ChurnOnly);
-      VG.deleteEdgesBatch(ChurnOnly);
+      Store.insertBatch(ChurnOnly);
+      Store.deleteBatch(ChurnOnly);
     }
     Done.store(true);
   });
@@ -105,12 +104,12 @@ TEST(Concurrency, MixedInsertDeleteWithReaderValidation) {
     Readers.emplace_back([&](){
       uint64_t FixedCount = Fixed.size();
       while (!Done.load()) {
-        auto V = VG.acquire();
-        uint64_t E = V.graph().numEdges();
+        auto V = Store.acquire();
+        uint64_t E = V.shard(0).numEdges();
         // Either all churn edges are present or none are.
         if (E != FixedCount && E != FixedCount + ChurnOnly.size())
           Violations.fetch_add(1);
-        if (!V.graph().checkInvariants())
+        if (!V.shard(0).checkInvariants())
           Violations.fetch_add(1);
       }
     });
@@ -119,32 +118,32 @@ TEST(Concurrency, MixedInsertDeleteWithReaderValidation) {
   for (auto &T : Readers)
     T.join();
   EXPECT_EQ(Violations.load(), 0u);
-  EXPECT_EQ(VG.acquire().graph().numEdges(), Fixed.size());
+  EXPECT_EQ(Store.acquire().shard(0).numEdges(), Fixed.size());
 }
 
 TEST(Concurrency, FlatSnapshotsDuringUpdates) {
   const VertexId N = 256;
   auto Fixed = dedupEdges(symmetrize(uniformRandomEdges(N, 3000, 2)));
-  VersionedGraph VG(Graph::fromEdges(N, Fixed));
+  ShardedGraphStore Store(1, N, Fixed);
   std::atomic<bool> Done{false};
   std::atomic<uint64_t> Violations{0};
 
   std::thread Writer([&] {
     RMatGenerator Stream(8, 777);
     for (int B = 0; B < 30; ++B)
-      VG.insertEdgesBatch(Stream.edges(uint64_t(B) * 100, 100));
+      Store.insertBatch(Stream.edges(uint64_t(B) * 100, 100));
     Done.store(true);
   });
 
   std::thread Reader([&] {
     while (!Done.load()) {
-      auto V = VG.acquire();
-      FlatSnapshot FS(V.graph());
+      auto V = Store.acquire();
+      FlatSnapshot FS(V.shard(0));
       // The flat snapshot must agree with the tree view of its version.
-      if (FS.numEdges() != V.graph().numEdges())
+      if (FS.numEdges() != V.shard(0).numEdges())
         Violations.fetch_add(1);
       for (VertexId X = 0; X < N; X += 37)
-        if (FS.degree(X) != V.graph().degree(X))
+        if (FS.degree(X) != V.shard(0).degree(X))
           Violations.fetch_add(1);
       // And it must support queries while newer versions appear.
       FlatGraphView FV(FS);
@@ -159,35 +158,33 @@ TEST(Concurrency, FlatSnapshotsDuringUpdates) {
 
 TEST(Concurrency, QueriesOutliveReleasedVersions) {
   const VertexId N = 128;
-  VersionedGraph VG(
-      Graph::fromEdges(N, dedupEdges(symmetrize(uniformRandomEdges(
-                              N, 1000, 3)))));
+  ShardedGraphStore Store(
+      1, N, dedupEdges(symmetrize(uniformRandomEdges(N, 1000, 3))));
   // Acquire a version, let the writer race far ahead, then verify the old
   // version still answers correctly after many newer versions were
   // created and collected.
-  auto Old = VG.acquire();
-  uint64_t OldEdges = Old.graph().numEdges();
-  auto OldAdj = Old.graph().findVertex(5).toVector();
+  auto Old = Store.acquire();
+  uint64_t OldEdges = Old.shard(0).numEdges();
+  auto OldAdj = Old.shard(0).findVertex(5).toVector();
   for (int I = 0; I < 50; ++I)
-    VG.insertEdgesBatch(disjointBatch(I, 64, N));
-  EXPECT_EQ(Old.graph().numEdges(), OldEdges);
-  EXPECT_EQ(Old.graph().findVertex(5).toVector(), OldAdj);
-  EXPECT_TRUE(Old.graph().checkInvariants());
+    Store.insertBatch(disjointBatch(I, 64, N));
+  EXPECT_EQ(Old.shard(0).numEdges(), OldEdges);
+  EXPECT_EQ(Old.shard(0).findVertex(5).toVector(), OldAdj);
+  EXPECT_TRUE(Old.shard(0).checkInvariants());
 }
 
 TEST(Concurrency, ManyConcurrentLocalQueriesOnePerVersion) {
   // Many threads each pin their own version and run local queries while
   // the writer streams; versions differ but each must be self-consistent.
   const VertexId N = 512;
-  VersionedGraph VG(
-      Graph::fromEdges(N, dedupEdges(symmetrize(uniformRandomEdges(
-                              N, 4000, 4)))));
+  ShardedGraphStore Store(
+      1, N, dedupEdges(symmetrize(uniformRandomEdges(N, 4000, 4))));
   std::atomic<bool> Done{false};
   std::atomic<uint64_t> Violations{0};
 
   std::thread Writer([&] {
     for (int B = 0; B < 30; ++B)
-      VG.insertEdgesBatch(disjointBatch(B, 50, N));
+      Store.insertBatch(disjointBatch(B, 50, N));
     Done.store(true);
   });
 
@@ -196,12 +193,12 @@ TEST(Concurrency, ManyConcurrentLocalQueriesOnePerVersion) {
     Readers.emplace_back([&, R] {
       uint64_t Q = 0;
       while (!Done.load()) {
-        auto V = VG.acquire();
+        auto V = Store.acquire();
         // Sum of degrees must equal numEdges on any single version.
         uint64_t DegSum = 0;
         for (VertexId X = 0; X < N; ++X)
-          DegSum += V.graph().degree(X);
-        if (DegSum != V.graph().numEdges())
+          DegSum += V.shard(0).degree(X);
+        if (DegSum != V.shard(0).numEdges())
           Violations.fetch_add(1);
         ++Q;
       }
@@ -318,13 +315,13 @@ TEST(Concurrency, HotFlatReadersDuringIngest) {
   const VertexId N = 4096;
   const size_t BatchSize = 128;
   const int NumBatches = 40;
-  VersionedGraph VG(Graph::fromEdges(N, {}));
+  ShardedGraphStore Store(1, N);
   std::atomic<bool> Done{false};
   std::atomic<uint64_t> Violations{0};
 
   std::thread Writer([&] {
     for (int B = 0; B < NumBatches; ++B)
-      VG.insertEdgesBatch(disjointBatch(B, BatchSize, N));
+      Store.insertBatch(disjointBatch(B, BatchSize, N));
     Done.store(true);
   });
 
@@ -332,16 +329,17 @@ TEST(Concurrency, HotFlatReadersDuringIngest) {
   for (int R = 0; R < 3; ++R)
     Readers.emplace_back([&] {
       while (!Done.load()) {
-        auto FS = VG.acquireFlat();
-        uint64_t E = FS->numEdges();
+        auto FE = Store.acquireFlat();
+        const FlatSnapshot &FS = FE->Flats[0];
+        uint64_t E = FS.numEdges();
         if (E % BatchSize != 0)
           Violations.fetch_add(1);
         uint64_t DegSum = 0;
-        for (VertexId V = 0; V < FS->numVertices(); ++V)
-          DegSum += FS->degree(V);
+        for (VertexId V = 0; V < FS.numVertices(); ++V)
+          DegSum += FS.degree(V);
         if (DegSum != E)
           Violations.fetch_add(1);
-        FlatGraphView FV(*FS);
+        FlatGraphView FV(FS);
         bfs(FV, 0);
       }
     });
@@ -350,9 +348,9 @@ TEST(Concurrency, HotFlatReadersDuringIngest) {
   for (auto &T : Readers)
     T.join();
   EXPECT_EQ(Violations.load(), 0u);
-  auto Last = VG.acquireFlat();
-  EXPECT_EQ(Last->numEdges(), uint64_t(NumBatches) * BatchSize);
-  auto Stats = VG.flatStats();
+  auto Last = Store.acquireFlat();
+  EXPECT_EQ(Last->NumEdges, uint64_t(NumBatches) * BatchSize);
+  auto Stats = Store.flatStats();
   EXPECT_GE(Stats.Refreshes + Stats.Rebuilds, 1u);
 }
 

@@ -14,7 +14,7 @@
 //     *byte-identical* — chunk Count/Bytes/memcmp, as in
 //     parallel_merge_test.cpp — to an uncrashed in-memory reference
 //     that applied exactly the recovered prefix of batches. Run on
-//     both the versioned and the sharded store.
+//     the store at one shard and at four.
 //   * A concurrent ingest + background checkpoint test (TSan coverage)
 //     asserting reopen reproduces the exact final state.
 //
@@ -28,7 +28,6 @@
 
 #include "gen/generators.h"
 #include "graph/graph.h"
-#include "graph/versioned_graph.h"
 #include "store/checkpoint.h"
 #include "store/durability.h"
 #include "store/sharded_graph.h"
@@ -62,6 +61,17 @@ static_assert(!HasChunkStorageV<UncompressedSet<VertexId>>,
               "UncompressedSet takes the element fallback");
 static_assert(!HasChunkStorageV<HybridEdgeSet>,
               "HybridEdgeSet takes the element fallback");
+
+/// Apply the first \p Count batches of \p Batches to \p St in order.
+void applyPrefix(ShardedGraphStore &St, const BatchList &Batches,
+                 size_t Count) {
+  for (size_t B = 0; B < Count; ++B) {
+    if (Batches[B].first)
+      St.insertBatch(Batches[B].second);
+    else
+      St.deleteBatch(Batches[B].second);
+  }
+}
 
 // Shared helpers (TempDir, flipByteAt, the *Identical byte-comparison
 // family, makeBatches, optsFor) live in durable_test_util.h — the
@@ -293,52 +303,36 @@ TEST(Checkpoint, CorruptionDetectedAndOlderUsed) {
 }
 
 //===----------------------------------------------------------------------===
-// Durable versioned store: basics.
+// Durable single-shard store: basics.
 //===----------------------------------------------------------------------===
 
-TEST(DurableVersioned, PersistAndReopenByteIdentical) {
+TEST(DurableSingleShard, PersistAndReopenByteIdentical) {
   TempDir D;
   BatchList Batches = makeBatches(9, 300, 3000, 77);
-  VersionedGraph Ref{Graph{}};
+  ShardedGraphStore Ref(1, 0);
   {
-    VersionedGraph St(optsFor(D.path()));
-    for (auto &B : Batches) {
-      if (B.first)
-        St.insertEdgesBatch(B.second);
-      else
-        St.deleteEdgesBatch(B.second);
-    }
-    for (auto &B : Batches) {
-      if (B.first)
-        Ref.insertEdgesBatch(B.second);
-      else
-        Ref.deleteEdgesBatch(B.second);
-    }
-    EXPECT_TRUE(
-        graphsIdentical(St.acquire().graph(), Ref.acquire().graph()));
+    ShardedGraphStore St(optsFor(D.path()), 1, 0);
+    applyPrefix(St, Batches, Batches.size());
+    applyPrefix(Ref, Batches, Batches.size());
+    EXPECT_TRUE(shardedIdentical(St, Ref));
   }
-  VersionedGraph Re(optsFor(D.path()));
+  ShardedGraphStore Re(optsFor(D.path()), 1, 0);
   EXPECT_EQ(Re.durability()->recovered().MaxSeq, Batches.size());
-  EXPECT_TRUE(graphsIdentical(Re.acquire().graph(), Ref.acquire().graph()));
+  EXPECT_TRUE(shardedIdentical(Re, Ref));
 
   // The reopened store keeps ingesting durably where the log left off.
   std::vector<EdgePair> More{{1, 7}, {2, 9}};
-  Re.insertEdgesBatch(More);
-  Ref.insertEdgesBatch(More);
-  EXPECT_TRUE(graphsIdentical(Re.acquire().graph(), Ref.acquire().graph()));
+  Re.insertBatch(More);
+  Ref.insertBatch(More);
+  EXPECT_TRUE(shardedIdentical(Re, Ref));
 }
 
-TEST(DurableVersioned, CheckpointTrimsWalAndRecovers) {
+TEST(DurableSingleShard, CheckpointTrimsWalAndRecovers) {
   TempDir D;
   BatchList Batches = makeBatches(11, 250, 2500, 31);
   {
-    VersionedGraph St(optsFor(D.path(), /*Every=*/4));
-    for (auto &B : Batches) {
-      if (B.first)
-        St.insertEdgesBatch(B.second);
-      else
-        St.deleteEdgesBatch(B.second);
-    }
+    ShardedGraphStore St(optsFor(D.path(), /*Every=*/4), 1, 0);
+    applyPrefix(St, Batches, Batches.size());
     EXPECT_GE(St.durability()->lastCheckpointSeq(), 8u);
   }
   EXPECT_GE(countFilesWithPrefix(D.path(), "ckpt-"), 1u);
@@ -346,34 +340,24 @@ TEST(DurableVersioned, CheckpointTrimsWalAndRecovers) {
   // remains is the post-checkpoint suffix plus the fresh generation.
   EXPECT_LE(countFilesWithPrefix(D.path(), "wal-"), 3u);
 
-  VersionedGraph Re(optsFor(D.path()));
-  VersionedGraph Ref{Graph{}};
-  for (auto &B : Batches) {
-    if (B.first)
-      Ref.insertEdgesBatch(B.second);
-    else
-      Ref.deleteEdgesBatch(B.second);
-  }
+  ShardedGraphStore Re(optsFor(D.path()), 1, 0);
+  ShardedGraphStore Ref(1, 0);
+  applyPrefix(Ref, Batches, Batches.size());
   EXPECT_EQ(Re.durability()->recovered().MaxSeq, Batches.size());
-  EXPECT_TRUE(graphsIdentical(Re.acquire().graph(), Ref.acquire().graph()));
+  EXPECT_TRUE(shardedIdentical(Re, Ref));
 }
 
-TEST(DurableVersioned, RecoveryPrimesFlatForRefresh) {
+TEST(DurableSingleShard, RecoveryPrimesFlatForRefresh) {
   TempDir D;
   BatchList Batches = makeBatches(9, 60, 4000, 13);
   {
-    VersionedGraph St(optsFor(D.path(), /*Every=*/6));
-    for (auto &B : Batches) {
-      if (B.first)
-        St.insertEdgesBatch(B.second);
-      else
-        St.deleteEdgesBatch(B.second);
-    }
+    ShardedGraphStore St(optsFor(D.path(), /*Every=*/6), 1, 0);
+    applyPrefix(St, Batches, Batches.size());
   }
   // Recovery: checkpoint at 6, replay 7..9 recording digests, flat
   // primed from the checkpoint — so the first user acquireFlat() takes
   // the O(touched) refresh path, not a rebuild.
-  VersionedGraph Re(optsFor(D.path()));
+  ShardedGraphStore Re(optsFor(D.path()), 1, 0);
   FlatMaintenanceStats S0 = Re.flatStats();
   EXPECT_EQ(S0.Rebuilds, 1u); // the recovery priming itself
   EXPECT_EQ(S0.Refreshes, 0u);
@@ -383,17 +367,18 @@ TEST(DurableVersioned, RecoveryPrimesFlatForRefresh) {
   EXPECT_EQ(S1.Refreshes, 1u);
   // And the refreshed flat agrees with the authoritative tree.
   auto V = Re.acquire();
+  const Graph &G = V.shard(0);
   uint64_t DegTree = 0, DegFlat = 0;
-  for (VertexId X = 0; X < V.graph().vertexUniverse(); ++X)
-    DegTree += V.graph().degree(X);
-  FlatGraphView FV(*F);
+  for (VertexId X = 0; X < G.vertexUniverse(); ++X)
+    DegTree += G.degree(X);
+  FlatGraphView FV(F->Flats[0]);
   for (VertexId X = 0; X < FV.numVertices(); ++X)
     DegFlat += FV.degree(X);
   EXPECT_EQ(DegTree, DegFlat);
 }
 
 //===----------------------------------------------------------------------===
-// The randomized kill-point matrix (both stores).
+// The randomized kill-point matrix (one shard and four).
 //===----------------------------------------------------------------------===
 
 struct FaultSchedule {
@@ -429,97 +414,55 @@ std::vector<FaultSchedule> killPointMatrix(uint64_t Seed) {
   return S;
 }
 
-TEST(DurableVersioned, KillPointMatrixRecoversByteIdentical) {
-  BatchList Batches = makeBatches(12, 200, 2500, 101);
-  for (const FaultSchedule &FS : killPointMatrix(0xD00D)) {
-    SCOPED_TRACE(std::string(FS.Site) + " action=" +
-                 std::to_string(int(FS.Action.K)) + " hit=" +
-                 std::to_string(FS.Hit));
-    TempDir D;
-    size_t Acked = 0;
-    {
-      VersionedGraph St(optsFor(D.path(), /*Every=*/5));
-      FailpointGuard G(FS.Site, FS.Action, FS.Hit);
-      try {
-        for (auto &B : Batches) {
-          if (B.first)
-            St.insertEdgesBatch(B.second);
-          else
-            St.deleteEdgesBatch(B.second);
-          ++Acked;
-        }
-      } catch (const std::exception &) {
-        // Simulated crash (or poisoned log): stop ingesting, drop the
-        // store, recover from the directory below.
-      }
-    }
-    failpoints().reset();
-
-    VersionedGraph Re(optsFor(D.path()));
-    uint64_t R = Re.durability()->recovered().MaxSeq;
-    if (FS.AckedGuaranteed) {
-      EXPECT_GE(R, Acked) << "acknowledged batch lost";
-    }
-    EXPECT_LE(R, Batches.size());
-
-    VersionedGraph Ref{Graph{}};
-    for (size_t B = 0; B < R; ++B) {
-      if (Batches[B].first)
-        Ref.insertEdgesBatch(Batches[B].second);
-      else
-        Ref.deleteEdgesBatch(Batches[B].second);
-    }
-    EXPECT_TRUE(
-        graphsIdentical(Re.acquire().graph(), Ref.acquire().graph()))
-        << "recovered store differs from the uncrashed reference at seq "
-        << R;
-  }
-}
-
 TEST(DurableSharded, KillPointMatrixRecoversByteIdentical) {
-  const size_t Shards = 4;
   const VertexId Universe = 2500;
-  BatchList Batches = makeBatches(12, 200, Universe, 202);
-  for (const FaultSchedule &FS : killPointMatrix(0xBEEF)) {
-    SCOPED_TRACE(std::string(FS.Site) + " action=" +
-                 std::to_string(int(FS.Action.K)) + " hit=" +
-                 std::to_string(FS.Hit));
-    TempDir D;
-    size_t Acked = 0;
-    {
-      ShardedGraphStore St(optsFor(D.path(), /*Every=*/5), Shards, Universe);
-      FailpointGuard G(FS.Site, FS.Action, FS.Hit);
-      try {
-        for (auto &B : Batches) {
-          if (B.first)
-            St.insertBatch(B.second);
-          else
-            St.deleteBatch(B.second);
-          ++Acked;
+  // Each shard count runs its own batch schedule and fault matrix.
+  struct Config {
+    size_t Shards;
+    uint64_t BatchSeed, MatrixSeed;
+  };
+  for (const Config &C : {Config{1, 101, 0xD00D}, Config{4, 202, 0xBEEF}}) {
+    BatchList Batches = makeBatches(12, 200, Universe, C.BatchSeed);
+    for (const FaultSchedule &FS : killPointMatrix(C.MatrixSeed)) {
+      SCOPED_TRACE("shards=" + std::to_string(C.Shards) + " " +
+                   std::string(FS.Site) + " action=" +
+                   std::to_string(int(FS.Action.K)) + " hit=" +
+                   std::to_string(FS.Hit));
+      TempDir D;
+      size_t Acked = 0;
+      {
+        ShardedGraphStore St(optsFor(D.path(), /*Every=*/5), C.Shards,
+                             Universe);
+        FailpointGuard G(FS.Site, FS.Action, FS.Hit);
+        try {
+          for (auto &B : Batches) {
+            if (B.first)
+              St.insertBatch(B.second);
+            else
+              St.deleteBatch(B.second);
+            ++Acked;
+          }
+        } catch (const std::exception &) {
+          // Simulated crash (or poisoned log): stop ingesting, drop the
+          // store, recover from the directory below.
         }
-      } catch (const std::exception &) {
       }
-    }
-    failpoints().reset();
+      failpoints().reset();
 
-    ShardedGraphStore Re(optsFor(D.path()), Shards, Universe);
-    uint64_t R = Re.durability()->recovered().MaxSeq;
-    if (FS.AckedGuaranteed) {
-      EXPECT_GE(R, Acked) << "acknowledged batch lost";
-    }
-    EXPECT_LE(R, Batches.size());
-    EXPECT_EQ(Re.batchSeq(), R);
+      ShardedGraphStore Re(optsFor(D.path()), C.Shards, Universe);
+      uint64_t R = Re.durability()->recovered().MaxSeq;
+      if (FS.AckedGuaranteed) {
+        EXPECT_GE(R, Acked) << "acknowledged batch lost";
+      }
+      EXPECT_LE(R, Batches.size());
+      EXPECT_EQ(Re.batchSeq(), R);
 
-    ShardedGraphStore Ref(Shards, Universe);
-    for (size_t B = 0; B < R; ++B) {
-      if (Batches[B].first)
-        Ref.insertBatch(Batches[B].second);
-      else
-        Ref.deleteBatch(Batches[B].second);
+      ShardedGraphStore Ref(C.Shards, Universe);
+      applyPrefix(Ref, Batches, R);
+      EXPECT_TRUE(shardedIdentical(Re, Ref))
+          << "recovered store differs from the uncrashed reference at seq "
+          << R;
     }
-    EXPECT_TRUE(shardedIdentical(Re, Ref))
-        << "recovered store differs from the uncrashed reference at seq "
-        << R;
   }
 }
 
@@ -530,52 +473,51 @@ TEST(DurableSharded, KillPointMatrixRecoversByteIdentical) {
 // is safe in both outcomes — whether the rename survives (recover from
 // the new checkpoint) or the entry is lost (recover from the older
 // checkpoint + the untrimmed WAL suffix).
-TEST(DurableVersioned, CrashBetweenRenameAndDirsync) {
-  BatchList Batches = makeBatches(9, 200, 2500, 303);
-  for (bool RenameSurvives : {true, false}) {
-    SCOPED_TRACE(RenameSurvives ? "rename survived" : "dir entry lost");
-    TempDir D;
-    size_t Acked = 0;
-    {
-      VersionedGraph St(optsFor(D.path(), /*Every=*/4));
-      // Crash on the *second* checkpoint's dirsync (seq 8), so the
-      // entry-lost variant has an older generation to fall back to.
-      FailpointGuard G("ckpt.dirsync", FailAction::crash(), 1);
-      try {
-        for (auto &B : Batches) {
-          if (B.first)
-            St.insertEdgesBatch(B.second);
-          else
-            St.deleteEdgesBatch(B.second);
-          ++Acked;
+TEST(DurableSharded, CrashBetweenRenameAndDirsync) {
+  const VertexId Universe = 2500;
+  BatchList Batches = makeBatches(9, 200, Universe, 303);
+  for (size_t Shards : {1u, 4u})
+    for (bool RenameSurvives : {true, false}) {
+      SCOPED_TRACE("shards=" + std::to_string(Shards) + " " +
+                   (RenameSurvives ? "rename survived" : "dir entry lost"));
+      TempDir D;
+      size_t Acked = 0;
+      {
+        ShardedGraphStore St(optsFor(D.path(), /*Every=*/4), Shards,
+                             Universe);
+        // Crash on the *second* checkpoint's dirsync (seq 8), so the
+        // entry-lost variant has an older generation to fall back to.
+        FailpointGuard G("ckpt.dirsync", FailAction::crash(), 1);
+        try {
+          for (auto &B : Batches) {
+            if (B.first)
+              St.insertBatch(B.second);
+            else
+              St.deleteBatch(B.second);
+            ++Acked;
+          }
+        } catch (const SimulatedCrash &) {
         }
-      } catch (const SimulatedCrash &) {
       }
-    }
-    failpoints().reset();
-    EXPECT_EQ(Acked, 7u); // batch 8's checkpoint crashed after the ack
-    if (!RenameSurvives) {
-      ASSERT_EQ(
-          ::unlink((D.path() + "/" + detail::ckptFileName(8)).c_str()), 0);
-    }
+      failpoints().reset();
+      EXPECT_EQ(Acked, 7u); // batch 8's checkpoint crashed after the ack
+      if (!RenameSurvives) {
+        ASSERT_EQ(
+            ::unlink((D.path() + "/" + detail::ckptFileName(8)).c_str()),
+            0);
+      }
 
-    VersionedGraph Re(optsFor(D.path()));
-    uint64_t R = Re.durability()->recovered().MaxSeq;
-    EXPECT_GE(R, 8u) << "acknowledged batch lost"; // seq 8 was durable
-    if (!RenameSurvives) {
-      EXPECT_EQ(Re.durability()->recovered().Ckpt->Seq, 4u);
-    }
+      ShardedGraphStore Re(optsFor(D.path()), Shards, Universe);
+      uint64_t R = Re.durability()->recovered().MaxSeq;
+      EXPECT_GE(R, 8u) << "acknowledged batch lost"; // seq 8 was durable
+      if (!RenameSurvives) {
+        EXPECT_EQ(Re.durability()->recovered().Ckpt->Seq, 4u);
+      }
 
-    VersionedGraph Ref{Graph{}};
-    for (size_t B = 0; B < R; ++B) {
-      if (Batches[B].first)
-        Ref.insertEdgesBatch(Batches[B].second);
-      else
-        Ref.deleteEdgesBatch(Batches[B].second);
+      ShardedGraphStore Ref(Shards, Universe);
+      applyPrefix(Ref, Batches, R);
+      EXPECT_TRUE(shardedIdentical(Re, Ref));
     }
-    EXPECT_TRUE(
-        graphsIdentical(Re.acquire().graph(), Ref.acquire().graph()));
-  }
 }
 
 //===----------------------------------------------------------------------===

@@ -3,9 +3,9 @@
 // Differential coverage for the paged-CoW flat snapshot (DESIGN.md
 // Section 4): the write-once full build, epoch-to-epoch refresh against
 // from-scratch rebuilds across churned epochs (inserts + deletes +
-// vertex-universe growth) on both the versioned and the sharded store,
-// the refresh-vs-rebuild policy (threshold, raw set() gaps, cache hits),
-// page sharing, and graph-view trait coverage of the flat views.
+// vertex-universe growth) on the store at one shard and at four, the
+// refresh-vs-rebuild policy (threshold, cache hits), page sharing, and
+// graph-view trait coverage of the flat views.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,7 +17,6 @@
 #include "algorithms/pagerank.h"
 #include "algorithms/triangle_count.h"
 #include "gen/generators.h"
-#include "graph/versioned_graph.h"
 #include "ligra/edge_map.h"
 #include "store/sharded_graph.h"
 
@@ -129,100 +128,87 @@ TEST(FlatPaged, MemoryBytesAccountsPageMetadata) {
 
 TEST(FlatRefresh, MatchesRebuildAcrossChurnedEpochs) {
   const VertexId N = 2048;
-  VersionedGraph VG(Graph::fromEdges(N, randomBatch(N, 8000, 80)));
+  ShardedGraphStore Store(1, N, randomBatch(N, 8000, 80));
 
-  auto First = VG.acquireFlat(); // cold: full rebuild
-  EXPECT_EQ(VG.flatStats().Rebuilds, 1u);
+  auto First = Store.acquireFlat(); // cold: full rebuild
+  EXPECT_EQ(Store.flatStats().Rebuilds, 1u);
 
   for (int E = 0; E < 24; ++E) {
     if (E % 3 == 2) {
       // Every third epoch deletes a slice of an earlier insert batch.
-      VG.deleteEdgesBatch(randomBatch(N, 60, 81 + uint64_t(E) - 2));
+      Store.deleteBatch(randomBatch(N, 60, 81 + uint64_t(E) - 2));
     } else {
       auto Batch = randomBatch(N, 60, 81 + uint64_t(E));
       // Universe growth: a source beyond every previous id.
       VertexId Grown = N + VertexId(E) * 7 + 1;
       Batch.push_back({Grown, VertexId(E)});
       Batch.push_back({VertexId(E), Grown});
-      VG.insertEdgesBatch(std::move(Batch));
+      Store.insertBatch(Batch);
     }
-    auto FS = VG.acquireFlat();
-    auto V = VG.acquire();
-    expectFlatMatchesTree(*FS, V.graph());
+    auto FE = Store.acquireFlat();
+    auto R = Store.acquire();
+    expectFlatMatchesTree(FE->Flats[0], R.shard(0));
 
     // Algorithm results must be bit-identical between the flat and the
     // tree view of the same version.
-    TreeGraphView<ES> TV(V.graph());
-    FlatGraphView<ES> FV(*FS);
+    TreeGraphView<ES> TV(R.shard(0));
+    FlatGraphView<ES> FV(FE->Flats[0]);
     EXPECT_EQ(bfsDistances(TV, 0), bfsDistances(FV, 0));
     EXPECT_EQ(connectedComponents(TV), connectedComponents(FV));
   }
-  auto Stats = VG.flatStats();
+  auto Stats = Store.flatStats();
   EXPECT_EQ(Stats.Rebuilds, 1u) << "churn epochs must refresh, not rebuild";
   EXPECT_EQ(Stats.Refreshes, 24u);
 }
 
 TEST(FlatRefresh, MultiEpochReplayAndCacheHits) {
   const VertexId N = 4096;
-  VersionedGraph VG(Graph::fromEdges(N, randomBatch(N, 8000, 90)));
-  auto A = VG.acquireFlat();
+  ShardedGraphStore Store(1, N, randomBatch(N, 8000, 90));
+  auto A = Store.acquireFlat();
   // Several epochs between acquireFlat calls: one refresh replays them all.
   for (int E = 0; E < 5; ++E)
-    VG.insertEdgesBatch(randomBatch(N, 20, 91 + uint64_t(E)));
-  auto B = VG.acquireFlat();
-  EXPECT_EQ(VG.flatStats().Refreshes, 1u);
-  auto C = VG.acquireFlat(); // unchanged epoch: cached object
+    Store.insertBatch(randomBatch(N, 20, 91 + uint64_t(E)));
+  auto B = Store.acquireFlat();
+  EXPECT_EQ(Store.flatStats().Refreshes, 1u);
+  auto C = Store.acquireFlat(); // unchanged epoch: cached object
   EXPECT_EQ(B.get(), C.get());
-  EXPECT_GE(VG.flatStats().Hits, 1u);
-  expectFlatMatchesTree(*B, VG.acquire().graph());
+  EXPECT_GE(Store.flatStats().Hits, 1u);
+  expectFlatMatchesTree(B->Flats[0], Store.acquire().shard(0));
   // The superseded flat snapshot A still answers for its own version.
-  EXPECT_EQ(A->numVertices(), N);
+  EXPECT_EQ(A->Flats[0].numVertices(), N);
 }
 
 TEST(FlatRefresh, LargeBatchFallsBackToRebuild) {
   const VertexId N = 1 << 14;
-  VersionedGraph VG(Graph::fromEdges(N, randomBatch(N, 30000, 95)));
-  (void)VG.acquireFlat();
+  ShardedGraphStore Store(1, N, randomBatch(N, 30000, 95));
+  (void)Store.acquireFlat();
   // Touches well over universe/8 distinct sources: rebuild path.
-  VG.insertEdgesBatch(randomBatch(N, 30000, 96));
-  auto FS = VG.acquireFlat();
-  auto Stats = VG.flatStats();
+  Store.insertBatch(randomBatch(N, 30000, 96));
+  auto FE = Store.acquireFlat();
+  auto Stats = Store.flatStats();
   EXPECT_EQ(Stats.Rebuilds, 2u);
   EXPECT_EQ(Stats.Refreshes, 0u);
-  expectFlatMatchesTree(*FS, VG.acquire().graph());
-}
-
-TEST(FlatRefresh, RawSetForcesRebuildThenRecovers) {
-  const VertexId N = 1024;
-  VersionedGraph VG(Graph::fromEdges(N, randomBatch(N, 4000, 97)));
-  (void)VG.acquireFlat();
-  // A raw set() records no digest: the replay span is uncovered.
-  VG.set(VG.acquire().graph().insertEdges(randomBatch(N, 50, 98)));
-  auto FS = VG.acquireFlat();
-  EXPECT_EQ(VG.flatStats().Rebuilds, 2u);
-  expectFlatMatchesTree(*FS, VG.acquire().graph());
-  // Digest recording resumes: the next batch refreshes again.
-  VG.insertEdgesBatch(randomBatch(N, 50, 99));
-  (void)VG.acquireFlat();
-  EXPECT_EQ(VG.flatStats().Refreshes, 1u);
+  expectFlatMatchesTree(FE->Flats[0], Store.acquire().shard(0));
 }
 
 TEST(FlatRefresh, SharesUntouchedPagesWithPredecessor) {
   const VertexId N = 1 << 15; // 32 pages
-  VersionedGraph VG(Graph::fromEdges(N, randomBatch(N, 60000, 100)));
-  auto A = VG.acquireFlat();
+  ShardedGraphStore Store(1, N, randomBatch(N, 60000, 100));
+  auto FA = Store.acquireFlat();
+  const FlatSnapshot &A = FA->Flats[0];
   // One batch confined to a narrow id range: most pages must be shared.
   std::vector<EdgePair> Batch;
   for (VertexId V = 100; V < 140; ++V)
     Batch.push_back({V, (V * 7) % N});
-  VG.insertEdgesBatch(symmetrize(Batch));
-  auto B = VG.acquireFlat();
-  EXPECT_EQ(VG.flatStats().Refreshes, 1u);
-  ASSERT_EQ(B->numPages(), A->numPages());
+  Store.insertBatch(symmetrize(Batch));
+  auto FB = Store.acquireFlat();
+  const FlatSnapshot &B = FB->Flats[0];
+  EXPECT_EQ(Store.flatStats().Refreshes, 1u);
+  ASSERT_EQ(B.numPages(), A.numPages());
   // The touched sources span a handful of pages; everything else is
   // co-owned with A.
-  EXPECT_GE(B->sharedPages(), B->numPages() - 4);
-  expectFlatMatchesTree(*B, VG.acquire().graph());
+  EXPECT_GE(B.sharedPages(), B.numPages() - 4);
+  expectFlatMatchesTree(B, Store.acquire().shard(0));
 }
 
 //===----------------------------------------------------------------------===
@@ -306,21 +292,19 @@ TEST(ShardedFlat, UntouchedShardsShareWholesale) {
   EXPECT_GE(B->Flats[0].sharedPages() + 2, B->Flats[0].numPages());
 }
 
-TEST(ShardedFlat, SingleShardStoreMatchesVersionedFlat) {
+TEST(ShardedFlat, SingleShardStoreMatchesDirectFlat) {
   const VertexId N = 1500;
   auto Edges = randomBatch(N, 6000, 115);
   ShardedGraphStore Store(1, N, Edges);
-  VersionedGraph VG(Graph::fromEdges(N, Edges));
   auto Batch = randomBatch(N, 80, 116);
   Store.insertBatch(Batch);
-  VG.insertEdgesBatch(Batch);
+  FlatSnapshot FS(Graph::fromEdges(N, Edges).insertEdges(Batch));
   auto FE = Store.acquireFlat();
-  auto FS = VG.acquireFlat();
   auto FV = FE->view();
-  ASSERT_EQ(FV.numVertices(), FS->numVertices());
-  ASSERT_EQ(FV.numEdges(), FS->numEdges());
+  ASSERT_EQ(FV.numVertices(), FS.numVertices());
+  ASSERT_EQ(FV.numEdges(), FS.numEdges());
   for (VertexId V = 0; V < FV.numVertices(); ++V) {
-    ASSERT_EQ(FV.degree(V), FS->degree(V));
-    ASSERT_EQ(adjacency(FV, V), FS->edges(V).toVector());
+    ASSERT_EQ(FV.degree(V), FS.degree(V));
+    ASSERT_EQ(adjacency(FV, V), FS.edges(V).toVector());
   }
 }

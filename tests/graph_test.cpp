@@ -137,9 +137,9 @@ TYPED_TEST(GraphRepTest, DeleteEdgesBatch) {
 }
 
 TYPED_TEST(GraphRepTest, SpanBatchPathsMatchVectorPaths) {
-  // insertEdgesSpan/deleteEdgesSpan (in-place sort, scratch grouping —
-  // the versioned store's writer route) must produce graphs identical
-  // to the vector paths, including duplicate and absent edges.
+  // insertEdgesSpan/deleteEdgesSpan (borrowed spans, scratch grouping)
+  // must produce graphs identical to the vector paths, including
+  // duplicate and absent edges.
   const VertexId N = 512;
   auto Base = randomEdgeBatch(3000, N, 77);
   TypeParam G1 = TypeParam::fromEdges(N, Base);

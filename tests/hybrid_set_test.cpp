@@ -5,7 +5,7 @@
 // sidecar refcount sharing across functional versions, the reserved-
 // sentinel fallback, differential equality of all ten algorithms on
 // hybrid vs pure-chunked views, and threshold-crossing churn through the
-// versioned and sharded stores (including the flat refresh path).
+// store at one shard and at four (including the flat refresh path).
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +19,6 @@
 #include "algorithms/triangle_count.h"
 #include "algorithms/two_hop.h"
 #include "gen/generators.h"
-#include "graph/versioned_graph.h"
 #include "store/sharded_graph.h"
 #include "util/hash.h"
 
@@ -489,22 +488,22 @@ churnSchedule(VertexId N, VertexId Hub) {
 
 } // namespace
 
-TEST(HybridStores, VersionedChurnAcrossThresholds) {
+TEST(HybridStores, SingleShardChurnAcrossThresholds) {
   HybridParams P = testParams();
   const VertexId N = 256, Hub = 0;
-  VersionedHybridGraph Store(HybridGraph::fromEdges(N, {}, P));
+  HybridShardedGraphStore Store(1, N, {}, P);
   Graph Ref = Graph::fromEdges(N, {});
 
   for (auto &[IsInsert, Batch] : churnSchedule(N, Hub)) {
     if (IsInsert) {
-      Store.insertEdgesBatch(Batch);
+      Store.insertBatch(Batch);
       Ref = Ref.insertEdges(Batch);
     } else {
-      Store.deleteEdgesBatch(Batch);
+      Store.deleteBatch(Batch);
       Ref = Ref.deleteEdges(Batch);
     }
     auto V = Store.acquire();
-    const HybridGraph &G = V.graph();
+    const HybridGraph &G = V.shard(0);
     ASSERT_TRUE(G.checkInvariants());
     ASSERT_EQ(G.numEdges(), Ref.numEdges());
     for (VertexId U = 0; U < N; ++U)
@@ -514,9 +513,9 @@ TEST(HybridStores, VersionedChurnAcrossThresholds) {
     HybridEdgeSet HubSet = G.findVertex(Hub);
     EXPECT_EQ(HubSet.hasFastProbe(), HubSet.size() >= P.HotMin);
     // The flat path must agree epoch to epoch (refresh or rebuild).
-    auto Flat = Store.acquireFlat();
-    ASSERT_EQ(Flat->numEdges(), Ref.numEdges());
-    FlatGraphView<HybridEdgeSet> FV(*Flat);
+    auto FE = Store.acquireFlat();
+    ASSERT_EQ(FE->NumEdges, Ref.numEdges());
+    FlatGraphView<HybridEdgeSet> FV(FE->Flats[0]);
     for (VertexId U = 0; U < N; ++U) {
       std::vector<VertexId> Adj;
       FV.mapNeighbors(U, [&](VertexId X) { Adj.push_back(X); });
@@ -573,15 +572,15 @@ TEST(HybridStores, NoLeaksThroughVersionChains) {
   {
     HybridParams P = testParams();
     const VertexId N = 128;
-    VersionedHybridGraph Store(HybridGraph::fromEdges(N, {}, P));
+    HybridShardedGraphStore Store(1, N, {}, P);
     for (int B = 0; B < 8; ++B) {
-      Store.insertEdgesBatch(randomBatch(N, 400, 700 + B));
+      Store.insertBatch(randomBatch(N, 400, 700 + B));
       auto V = Store.acquire();
-      ASSERT_TRUE(V.graph().checkInvariants());
+      ASSERT_TRUE(V.shard(0).checkInvariants());
       (void)Store.acquireFlat();
     }
     for (int B = 0; B < 4; ++B)
-      Store.deleteEdgesBatch(randomBatch(N, 300, 700 + B));
+      Store.deleteBatch(randomBatch(N, 300, 700 + B));
   }
   EXPECT_EQ(liveCountedBytes(), BaseBytes)
       << "leaked chunks or sidecars through the version chain";

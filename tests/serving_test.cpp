@@ -113,7 +113,6 @@ TEST(ServeCoalesce, ApplySpansMatchesOneAtATime) {
   Sched.push_back({false, randomBatch(N, 300, 400)});
 
   ShardedGraphStore Serial(Shards, N), Grouped(Shards, N);
-  Serial.setPipelinedIngest(false); // group/sort under the shard locks
   for (auto &B : Sched)
     B.first ? Serial.insertBatch(B.second) : Serial.deleteBatch(B.second);
 
@@ -514,18 +513,18 @@ TEST(ServeFlat, FastPathHitsOnUnchangedEpoch) {
   EXPECT_EQ(St.Hits, Threads * Iters + 1);
 }
 
-TEST(ServeFlat, VersionedStoreFastPathHits) {
+TEST(ServeFlat, SingleShardFastPathHits) {
   const VertexId N = 512;
-  VersionedGraph VG(Graph::fromEdges(N, randomBatch(N, 2000, 3)));
-  auto F0 = VG.acquireFlat();
+  ShardedGraphStore Store(1, N, randomBatch(N, 2000, 3));
+  auto F0 = Store.acquireFlat();
   for (int I = 0; I < 10; ++I)
-    EXPECT_EQ(VG.acquireFlat().get(), F0.get());
-  auto St = VG.flatStats();
+    EXPECT_EQ(Store.acquireFlat().get(), F0.get());
+  auto St = Store.flatStats();
   EXPECT_EQ(St.Rebuilds, 1u);
   EXPECT_EQ(St.Hits, 10u);
-  VG.insertEdgesBatch(randomBatch(N, 20, 4)); // < N/8 touched: refresh
-  auto F1 = VG.acquireFlat();
+  Store.insertBatch(randomBatch(N, 20, 4)); // < N/8 touched: refresh
+  auto F1 = Store.acquireFlat();
   EXPECT_NE(F1.get(), F0.get());
-  St = VG.flatStats();
+  St = Store.flatStats();
   EXPECT_EQ(St.Refreshes, 1u);
 }

@@ -1,11 +1,11 @@
 //===- tests/sharded_graph_test.cpp - Sharded store consistency -----------===//
 //
 // The sharded versioned store (store/sharded_graph.h): hash-partition
-// correctness, batch-ingest equivalence with the single store, epoch
-// atomicity under concurrent writers and readers (no torn cross-shard
-// cuts), exact reclamation, and the differential guarantee that every
-// algorithm over a ShardedGraphView matches the single-store result
-// exactly.
+// correctness, batch-ingest equivalence with a plain graph snapshot,
+// epoch atomicity under concurrent writers and readers (no torn
+// cross-shard cuts), exact reclamation at one shard and at four, and the
+// differential guarantee that every algorithm over a ShardedGraphView
+// matches the single-snapshot result exactly.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +19,6 @@
 #include "algorithms/triangle_count.h"
 #include "algorithms/two_hop.h"
 #include "gen/generators.h"
-#include "graph/versioned_graph.h"
 #include "store/sharded_graph.h"
 
 #include <gtest/gtest.h>
@@ -89,27 +88,29 @@ TEST(ShardedGraph, ShardsPartitionVertices) {
 TEST(ShardedGraph, InsertDeleteBatchEquivalence) {
   const VertexId N = 1 << 10;
   auto Base = randomBatch(N, 4000, 3);
-  Graph Single = Graph::fromEdges(N, Base);
-  ShardedGraphStore Store(4, N, Base);
-
   auto B1 = randomBatch(N, 1500, 40);
   auto B2 = randomBatch(N, 800, 41);
-  Single = Single.insertEdges(B1);
-  Store.insertBatch(B1);
-  Single = Single.deleteEdges(B2);
-  Store.deleteBatch(B2);
-  Single = Single.insertEdges(B2);
-  Store.insertBatch(B2);
+  for (size_t Shards : {1u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(Shards));
+    Graph Single = Graph::fromEdges(N, Base);
+    ShardedGraphStore Store(Shards, N, Base);
+    Single = Single.insertEdges(B1);
+    Store.insertBatch(B1);
+    Single = Single.deleteEdges(B2);
+    Store.deleteBatch(B2);
+    Single = Single.insertEdges(B2);
+    Store.insertBatch(B2);
 
-  auto R = Store.acquire();
-  EXPECT_EQ(R.batchSeq(), 3u);
-  EXPECT_EQ(R.numEdges(), Single.numEdges());
-  auto V = R.view();
-  for (VertexId U = 0; U < N; ++U)
-    ASSERT_EQ(adjacency(V, U), Single.findVertex(U).toVector())
-        << "vertex " << U;
-  for (size_t S = 0; S < Store.numShards(); ++S)
-    EXPECT_TRUE(R.shard(S).checkInvariants());
+    auto R = Store.acquire();
+    EXPECT_EQ(R.batchSeq(), 3u);
+    EXPECT_EQ(R.numEdges(), Single.numEdges());
+    auto V = R.view();
+    for (VertexId U = 0; U < N; ++U)
+      ASSERT_EQ(adjacency(V, U), Single.findVertex(U).toVector())
+          << "vertex " << U;
+    for (size_t S = 0; S < Store.numShards(); ++S)
+      EXPECT_TRUE(R.shard(S).checkInvariants());
+  }
 }
 
 TEST(ShardedGraph, EmptyAndSubsetBatches) {
@@ -131,25 +132,39 @@ TEST(ShardedGraph, EmptyAndSubsetBatches) {
 
 TEST(ShardedGraph, PinnedEpochSurvivesUpdates) {
   const VertexId N = 512;
-  ShardedGraphStore Store(4, N, randomBatch(N, 3000, 5));
-  auto Old = Store.acquire();
-  uint64_t OldEdges = Old.numEdges();
-  auto OldAdj = adjacency(Old.view(), 7);
-  for (int I = 0; I < 20; ++I)
-    Store.insertBatch(randomBatch(N, 500, 100 + I));
-  EXPECT_EQ(Old.numEdges(), OldEdges);
-  EXPECT_EQ(adjacency(Old.view(), 7), OldAdj);
-  auto Fresh = Store.acquire();
-  EXPECT_GE(Fresh.numEdges(), OldEdges);
-  EXPECT_EQ(Fresh.batchSeq(), 20u);
+  for (size_t Shards : {1u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(Shards));
+    ShardedGraphStore Store(Shards, N, randomBatch(N, 3000, 5));
+    auto Old = Store.acquire();
+    uint64_t OldEdges = Old.numEdges();
+    auto OldAdj = adjacency(Old.view(), 7);
+    for (int I = 0; I < 20; ++I)
+      Store.insertBatch(randomBatch(N, 500, 100 + I));
+    EXPECT_EQ(Old.numEdges(), OldEdges);
+    EXPECT_EQ(adjacency(Old.view(), 7), OldAdj);
+    auto Fresh = Store.acquire();
+    EXPECT_GE(Fresh.numEdges(), OldEdges);
+    EXPECT_EQ(Fresh.batchSeq(), 20u);
+  }
+}
+
+TEST(ShardedGraph, RefMoveSemantics) {
+  ShardedGraphStore Store(1, 4, {{0, 1}});
+  auto R1 = Store.acquire();
+  auto R2 = std::move(R1);
+  EXPECT_FALSE(R1.valid());
+  EXPECT_TRUE(R2.valid());
+  EXPECT_EQ(R2.numEdges(), 1u);
+  R2.reset();
+  EXPECT_FALSE(R2.valid());
 }
 
 TEST(ShardedGraph, LeakFreeReclamation) {
   int64_t BaseBytes = liveCountedBytes();
   int64_t BaseNodes = totalPoolLiveBytes();
-  {
+  for (size_t Shards : {1u, 4u}) {
     const VertexId N = 256;
-    ShardedGraphStore Store(4, N, randomBatch(N, 2000, 6));
+    ShardedGraphStore Store(Shards, N, randomBatch(N, 2000, 6));
     for (int I = 0; I < 10; ++I) {
       auto Pin = Store.acquire(); // pin, update, release via scope exit
       Store.insertBatch(randomBatch(N, 300, 200 + I));

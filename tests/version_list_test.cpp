@@ -1,12 +1,16 @@
-//===- tests/versioned_graph_test.cpp - acquire/set/release tests ---------===//
+//===- tests/version_list_test.cpp - Version list and digest log tests ----===//
 //
-// The version-maintenance interface of Section 6: atomic acquire/set/
-// release, reader isolation from a concurrent writer, and reclamation.
+// The version-maintenance core of Section 6 (store/version_list.h):
+// stamps, pinning, move semantics, reclamation, and concurrent
+// acquire/release under installs; plus the bounded DeltaLogT digest
+// window behind the store's incremental flat refresh, exercised both
+// directly and through a one-shard store's acquireFlat().
 //
 //===----------------------------------------------------------------------===//
 
-#include "graph/versioned_graph.h"
 #include "gen/generators.h"
+#include "store/sharded_graph.h"
+#include "store/version_list.h"
 
 #include <gtest/gtest.h>
 
@@ -25,105 +29,6 @@ std::vector<EdgePair> randomEdgeBatch(size_t K, VertexId N, uint64_t Seed) {
 }
 
 } // namespace
-
-TEST(VersionedGraph, AcquireSeesInitialVersion) {
-  VersionedGraph VG(Graph::fromEdges(10, {{1, 2}, {2, 1}}));
-  auto V = VG.acquire();
-  EXPECT_EQ(V.graph().numEdges(), 2u);
-  EXPECT_EQ(V.timestamp(), 0u);
-}
-
-TEST(VersionedGraph, SetPublishesNewVersion) {
-  VersionedGraph VG(Graph::fromEdges(10, {}));
-  VG.insertEdgesBatch({{1, 2}, {3, 4}});
-  auto V = VG.acquire();
-  EXPECT_EQ(V.graph().numEdges(), 2u);
-  EXPECT_EQ(V.timestamp(), 1u);
-  VG.deleteEdgesBatch({{1, 2}});
-  auto V2 = VG.acquire();
-  EXPECT_EQ(V2.graph().numEdges(), 1u);
-  // The earlier handle still reads the older version.
-  EXPECT_EQ(V.graph().numEdges(), 2u);
-}
-
-TEST(VersionedGraph, ReadersPinVersionsAcrossUpdates) {
-  const VertexId N = 128;
-  VersionedGraph VG(Graph::fromEdges(N, randomEdgeBatch(500, N, 1)));
-  auto V0 = VG.acquire();
-  uint64_t E0 = V0.graph().numEdges();
-  std::vector<uint64_t> Counts;
-  for (int I = 0; I < 5; ++I) {
-    VG.insertEdgesBatch(randomEdgeBatch(200, N, 10 + I));
-    Counts.push_back(VG.acquire().graph().numEdges());
-  }
-  // Each later version has at least as many edges; the pinned version is
-  // still exactly as it was.
-  for (size_t I = 1; I < Counts.size(); ++I)
-    EXPECT_GE(Counts[I], Counts[I - 1]);
-  EXPECT_EQ(V0.graph().numEdges(), E0);
-}
-
-TEST(VersionedGraph, MoveSemanticsOfVersionHandle) {
-  VersionedGraph VG(Graph::fromEdges(4, {{0, 1}}));
-  auto V1 = VG.acquire();
-  auto V2 = std::move(V1);
-  EXPECT_FALSE(V1.valid());
-  EXPECT_TRUE(V2.valid());
-  EXPECT_EQ(V2.graph().numEdges(), 1u);
-  V2.reset();
-  EXPECT_FALSE(V2.valid());
-}
-
-TEST(VersionedGraph, ConcurrentReadersAndWriter) {
-  // Section 7.3's regime: one writer streams batches while readers run
-  // queries on acquired snapshots. Readers must always observe a
-  // consistent edge count (the graph only ever grows here, and every
-  // version's count is a multiple of the batch size).
-  const VertexId N = 256;
-  const size_t BatchSize = 64;
-  VersionedGraph VG(Graph::fromEdges(N, {}));
-  std::atomic<bool> Done{false};
-  std::atomic<uint64_t> Violations{0};
-
-  std::thread Writer([&] {
-    for (int B = 0; B < 40; ++B) {
-      // Distinct edges per batch: vertex pairs from disjoint ranges.
-      std::vector<EdgePair> Batch;
-      for (size_t I = 0; I < BatchSize; ++I) {
-        uint64_t Idx = B * BatchSize + I;
-        Batch.push_back({VertexId(Idx % N), VertexId((Idx / N) % N)});
-      }
-      VG.insertEdgesBatch(Batch);
-    }
-    Done.store(true);
-  });
-
-  std::vector<std::thread> Readers;
-  for (int R = 0; R < 3; ++R)
-    Readers.emplace_back([&] {
-      uint64_t Last = 0;
-      while (!Done.load()) {
-        auto V = VG.acquire();
-        uint64_t E = V.graph().numEdges();
-        uint64_t E2 = V.graph().numEdges();
-        if (E != E2)
-          Violations.fetch_add(1); // snapshot must be stable
-        if (E < Last)
-          Violations.fetch_add(1); // monotone visibility
-        Last = E;
-        // The snapshot must be internally consistent, too.
-        if (!V.graph().checkInvariants())
-          Violations.fetch_add(1);
-      }
-    });
-
-  Writer.join();
-  for (auto &T : Readers)
-    T.join();
-  EXPECT_EQ(Violations.load(), 0u);
-  auto Final = VG.acquire();
-  EXPECT_EQ(Final.timestamp(), 40u);
-}
 
 //===----------------------------------------------------------------------===
 // The extracted VersionListT core (store/version_list.h), independent of
@@ -217,22 +122,6 @@ TEST(VersionList, ConcurrentAcquireReleaseUnderSets) {
   EXPECT_EQ(L.acquire().value(), 2000u);
 }
 
-TEST(VersionedGraph, LeakFreeReclamation) {
-  int64_t BaseBytes = liveCountedBytes();
-  int64_t BaseNodes = totalPoolLiveBytes();
-  {
-    const VertexId N = 128;
-    VersionedGraph VG(Graph::fromEdges(N, randomEdgeBatch(1000, N, 3)));
-    for (int I = 0; I < 10; ++I) {
-      auto Pin = VG.acquire(); // pin, update, release via scope exit
-      VG.insertEdgesBatch(randomEdgeBatch(300, N, 100 + I));
-      VG.deleteEdgesBatch(randomEdgeBatch(100, N, 200 + I));
-    }
-  }
-  EXPECT_EQ(liveCountedBytes(), BaseBytes);
-  EXPECT_EQ(totalPoolLiveBytes(), BaseNodes);
-}
-
 //===----------------------------------------------------------------------===//
 // DeltaLogT edge cases: the bounded digest window behind acquireFlat()'s
 // incremental refresh. Wraparound past MaxEntries, gap/clear semantics,
@@ -299,57 +188,45 @@ TEST(DeltaLog, ReplayAfterClearRequiresFreshHistory) {
   EXPECT_EQ(Got, (std::vector<int>{500, 600}));
 }
 
-TEST(VersionedGraph, FlatRebuildsWhenDigestWindowExceeded) {
+TEST(SingleShardFlat, RebuildsWhenDigestWindowExceeded) {
   const VertexId N = 4096;
-  VersionedGraph VG(Graph::fromEdges(N, randomEdgeBatch(500, N, 21)));
-  (void)VG.acquireFlat(); // initial full build
-  ASSERT_EQ(VG.flatStats().Rebuilds, 1u);
+  ShardedGraphStore Store(1, N, randomEdgeBatch(500, N, 21));
+  (void)Store.acquireFlat(); // initial full build
+  ASSERT_EQ(Store.flatStats().Rebuilds, 1u);
   // Within the 64-epoch window and under the touched cap: refresh.
   for (int I = 0; I < 10; ++I)
-    VG.insertEdgesBatch(randomEdgeBatch(8, N, 300 + I));
-  (void)VG.acquireFlat();
-  EXPECT_EQ(VG.flatStats().Refreshes, 1u);
-  EXPECT_EQ(VG.flatStats().Rebuilds, 1u);
+    Store.insertBatch(randomEdgeBatch(8, N, 300 + I));
+  (void)Store.acquireFlat();
+  EXPECT_EQ(Store.flatStats().Refreshes, 1u);
+  EXPECT_EQ(Store.flatStats().Rebuilds, 1u);
   // 70 further epochs without an acquire: the bounded log wraps past the
   // cached stamp, so the next acquire must take the full rebuild path.
   for (int I = 0; I < 70; ++I)
-    VG.insertEdgesBatch(randomEdgeBatch(8, N, 400 + I));
-  (void)VG.acquireFlat();
-  EXPECT_EQ(VG.flatStats().Rebuilds, 2u);
-  EXPECT_EQ(VG.flatStats().Refreshes, 1u);
+    Store.insertBatch(randomEdgeBatch(8, N, 400 + I));
+  (void)Store.acquireFlat();
+  EXPECT_EQ(Store.flatStats().Rebuilds, 2u);
+  EXPECT_EQ(Store.flatStats().Refreshes, 1u);
 }
 
-TEST(VersionedGraph, OversizeDigestClearsThenIncrementalPathRecovers) {
+TEST(SingleShardFlat, OversizeDigestClearsThenIncrementalPathRecovers) {
   const VertexId N = 64; // touched cap = N / FlatRefreshDenominator = 8
-  VersionedGraph VG(Graph::fromEdges(N, {}));
-  (void)VG.acquireFlat();
-  ASSERT_EQ(VG.flatStats().Rebuilds, 1u);
+  ShardedGraphStore Store(1, N);
+  (void)Store.acquireFlat();
+  ASSERT_EQ(Store.flatStats().Rebuilds, 1u);
   // A batch touching far more than N/8 distinct vertices records no
   // digest (refreshing would cost as much as rebuilding), clearing the
   // log: the next acquire rebuilds.
   std::vector<EdgePair> Wide;
   for (VertexId U = 0; U < 40; ++U)
     Wide.push_back({U, VertexId((U + 1) % N)});
-  VG.insertEdgesBatch(std::move(Wide));
-  (void)VG.acquireFlat();
-  EXPECT_EQ(VG.flatStats().Rebuilds, 2u);
-  EXPECT_EQ(VG.flatStats().Refreshes, 0u);
+  Store.insertBatch(Wide);
+  (void)Store.acquireFlat();
+  EXPECT_EQ(Store.flatStats().Rebuilds, 2u);
+  EXPECT_EQ(Store.flatStats().Refreshes, 0u);
   // A subsequent narrow batch restarts the digest history from the
   // rebuilt flat's stamp: incremental refresh works again.
-  VG.insertEdgesBatch({{3, 5}, {3, 7}});
-  (void)VG.acquireFlat();
-  EXPECT_EQ(VG.flatStats().Refreshes, 1u);
-  EXPECT_EQ(VG.flatStats().Rebuilds, 2u);
-}
-
-TEST(VersionedGraph, RawSetFallsBackToRebuild) {
-  const VertexId N = 256;
-  VersionedGraph VG(Graph::fromEdges(N, {}));
-  (void)VG.acquireFlat();
-  VG.insertEdgesBatch({{1, 2}});
-  // set() records no digest, so the span across it is not covered.
-  VG.set(Graph::fromEdges(N, {{5, 6}, {6, 5}}));
-  (void)VG.acquireFlat();
-  EXPECT_EQ(VG.flatStats().Rebuilds, 2u);
-  EXPECT_EQ(VG.flatStats().Refreshes, 0u);
+  Store.insertBatch({{3, 5}, {3, 7}});
+  (void)Store.acquireFlat();
+  EXPECT_EQ(Store.flatStats().Refreshes, 1u);
+  EXPECT_EQ(Store.flatStats().Rebuilds, 2u);
 }
