@@ -13,6 +13,18 @@
 // snapshot. The acceptance bar for the incremental path is >= 5x at <= 1%
 // touched.
 //
+// Section C times the shape the server runs: a hybrid (and a C-tree)
+// store at S=8 over rMAT at one scale above the small input, fed 10-edge
+// symmetric rMAT batches, with acquireFlat()'s refresh and the release of
+// the flat epoch it superseded (its pages and the tree version only it
+// pinned) timed separately - the server runs the release after the
+// query's reply.
+//
+// Section D justifies the page-table geometry (DESIGN.md Section 4): the
+// same per-shard refreshes, full builds and a flat BFS at several page
+// sizes and directory fanouts; and the refresh-vs-rebuild crossover
+// behind FlatRefreshDenominator, timed at touched sets of n/64 .. n/8.
+//
 // Metric trail: -json <path> writes every reported metric as flat JSON
 // (BENCH_flat_snapshot.json is the committed trail; CI uploads it) and
 // -compare <path> annotates rows against a previous file, following the
@@ -26,6 +38,8 @@
 #include "store/sharded_graph.h"
 
 #include <algorithm>
+#include <functional>
+#include <memory>
 
 using namespace aspen;
 
@@ -139,6 +153,201 @@ void runRefresh(const BenchConfig &C, const std::vector<BenchInput> &Inputs) {
   }
 }
 
+//===----------------------------------------------------------------------===
+// Section C: the served shape.
+//===----------------------------------------------------------------------===
+
+/// 10-edge symmetric rMAT batches over \p In's vertex range: batch B is
+/// edges [10B, 10B + 10) of a stream seeded apart from the base graph's.
+std::vector<EdgePair> servedBatch(const BenchInput &In, uint64_t Seed,
+                                  size_t B) {
+  RMatGenerator Gen(int(detail::log2Floor(In.N)), Seed + 0x5e7);
+  return dedupEdges(symmetrize(Gen.edges(uint64_t(B) * 10, 10)));
+}
+
+template <class Store>
+void runServed(const BenchConfig &C, const BenchInput &In,
+               const char *StoreName) {
+  const size_t Batches = 100 * size_t(C.Rounds);
+  Store St(8, In.N, In.Edges);
+  (void)St.acquireFlat();
+  std::vector<double> Refresh, Release;
+  for (size_t B = 0; B < Batches; ++B) {
+    St.insertBatch(servedBatch(In, C.Seed, B));
+    std::shared_ptr<const typename Store::FlatEpoch> Old;
+    Timer T;
+    auto FE = St.acquireFlat(&Old);
+    Refresh.push_back(T.elapsed());
+    T.reset();
+    Old.reset();
+    Release.push_back(T.elapsed());
+  }
+  bool AllRefreshed = St.flatStats().Rebuilds == 1;
+  std::string Scope = std::string("served/") + StoreName + "/" + In.Name;
+  double R50 = percentile(Refresh, 0.5), R90 = percentile(Refresh, 0.9);
+  double L50 = percentile(Release, 0.5), L90 = percentile(Release, 0.9);
+  recordMetric(Scope + "/refresh_s", R50);
+  recordMetric(Scope + "/refresh_p90_s", R90);
+  recordMetric(Scope + "/release_s", L50);
+  recordMetric(Scope + "/release_p90_s", L90);
+  std::printf("%-20s %12s %12s %12s %12s%s%s\n",
+              (std::string(StoreName) + "/" + In.Name).c_str(),
+              fmtTime(R50).c_str(), fmtTime(R90).c_str(),
+              fmtTime(L50).c_str(), fmtTime(L90).c_str(),
+              AllRefreshed ? "" : "  [fell back to rebuild]",
+              compareSuffix(Scope + "/refresh_s", R50).c_str());
+}
+
+//===----------------------------------------------------------------------===
+// Section D: page-table geometry and the refresh/rebuild crossover.
+//===----------------------------------------------------------------------===
+
+/// A recorded run of epochs on an S=8 store with every step's per-shard
+/// touched digest, so each geometry replays the identical refreshes.
+template <class EdgeSet> struct EpochChain {
+  using Store = ShardedGraphStoreT<EdgeSet>;
+  std::unique_ptr<Store> St; // outlives the Refs below
+  std::vector<typename Store::Ref> Epochs;
+  std::vector<std::vector<std::vector<VertexId>>> Touched; // [step][shard]
+
+  EpochChain(const BenchInput &In, size_t Steps,
+             const std::function<std::vector<EdgePair>(size_t)> &BatchOf)
+      : St(std::make_unique<Store>(8, In.N, In.Edges)) {
+    Epochs.push_back(St->acquire());
+    for (size_t K = 0; K < Steps; ++K) {
+      std::vector<EdgePair> B = BatchOf(K); // sorted by source
+      std::vector<std::vector<VertexId>> T(8);
+      for (size_t I = 0; I < B.size(); ++I)
+        if (I == 0 || B[I].first != B[I - 1].first)
+          T[St->shardOf(B[I].first)].push_back(B[I].first);
+      St->insertBatch(B);
+      Epochs.push_back(St->acquire());
+      Touched.push_back(std::move(T));
+    }
+  }
+};
+
+template <class EdgeSet, size_t PageBytes, size_t DirFanout>
+void sweepOne(const BenchConfig &C, const char *StoreName,
+              const EpochChain<EdgeSet> &Small,
+              const EpochChain<EdgeSet> &Large,
+              const GraphSnapshotT<EdgeSet> &Whole) {
+  using FlatG = FlatSnapshotT<EdgeSet, PageBytes, DirFanout>;
+  using Ref = typename ShardedGraphStoreT<EdgeSet>::Ref;
+  const size_t S = 8;
+  auto BuildAll = [&](const Ref &E) {
+    std::vector<FlatG> Fs(S);
+    parallelFor(0, S, [&](size_t Sh) {
+      Fs[Sh] = FlatG(E.shard(Sh), detail::log2Floor(S));
+    }, 1);
+    return Fs;
+  };
+  // Median per-step refresh (as acquireFlat runs it: untouched shards
+  // shared wholesale) and median release of the superseded flats.
+  auto Replay = [&](const EpochChain<EdgeSet> &Ch, double &ReleaseOut) {
+    std::vector<FlatG> Cur = BuildAll(Ch.Epochs[0]);
+    std::vector<double> Times, Releases;
+    for (size_t K = 1; K < Ch.Epochs.size(); ++K) {
+      std::vector<FlatG> Next(S);
+      Timer T;
+      parallelFor(0, S, [&](size_t Sh) {
+        const GraphSnapshotT<EdgeSet> &Snap = Ch.Epochs[K].shard(Sh);
+        if (Snap.root() == Cur[Sh].graph().root()) {
+          Next[Sh] = Cur[Sh];
+          return;
+        }
+        const std::vector<VertexId> &Tk = Ch.Touched[K - 1][Sh];
+        Next[Sh] = FlatG::refresh(Cur[Sh], Snap, Tk.data(), Tk.size());
+      }, 1);
+      Times.push_back(T.elapsed());
+      T.reset();
+      Cur = std::move(Next); // the chain still pins every tree version
+      Releases.push_back(T.elapsed());
+    }
+    ReleaseOut = percentile(Releases, 0.5);
+    return percentile(Times, 0.5);
+  };
+  double BuildT = benchTime(C.Rounds, [&] { BuildAll(Small.Epochs[0]); });
+  double ReleaseSmall = 0, ReleaseLarge = 0; // the 1% release goes unrecorded
+  double RefreshSmall = Replay(Small, ReleaseSmall);
+  double RefreshLarge = Replay(Large, ReleaseLarge);
+  FlatG WholeFlat(Whole);
+  FlatGraphView FV(WholeFlat);
+  double BfsT = benchTime(C.Rounds, [&] { bfs(FV, 0); });
+
+  char Geo[64];
+  std::snprintf(Geo, sizeof(Geo), "p%zu-d%zu", PageBytes, DirFanout);
+  std::string Scope = std::string("geometry/") + StoreName + "/" + Geo;
+  recordMetric(Scope + "/build_s", BuildT);
+  recordMetric(Scope + "/refresh_b10_s", RefreshSmall);
+  recordMetric(Scope + "/release_b10_s", ReleaseSmall);
+  recordMetric(Scope + "/refresh_b1%_s", RefreshLarge);
+  recordMetric(Scope + "/bfs_flat_s", BfsT);
+  std::printf("%-28s %6zu %10s %12s %12s %12s %12s%s\n",
+              (std::string(StoreName) + "/" + Geo).c_str(), FlatG::PageSlots,
+              fmtTime(BuildT).c_str(), fmtTime(RefreshSmall).c_str(),
+              fmtTime(ReleaseSmall).c_str(), fmtTime(RefreshLarge).c_str(),
+              fmtTime(BfsT).c_str(),
+              compareSuffix(Scope + "/refresh_b10_s", RefreshSmall).c_str());
+}
+
+template <class EdgeSet>
+void runGeometry(const BenchConfig &C, const BenchInput &In,
+                 const char *StoreName) {
+  // 10-edge batches (the served shape) and batches touching ~1% of the
+  // vertices, both replayed identically for every geometry.
+  EpochChain<EdgeSet> Small(In, 100, [&](size_t B) {
+    return servedBatch(In, C.Seed, B);
+  });
+  size_t K1 = std::max<size_t>(1, size_t(In.N) / 200);
+  EpochChain<EdgeSet> Large(In, size_t(2 * C.Rounds), [&](size_t B) {
+    return updateBatch(In, K1, uint64_t(B) * 7919 + 11);
+  });
+  auto Whole = GraphSnapshotT<EdgeSet>::fromEdges(In.N, In.Edges);
+  sweepOne<EdgeSet, 1024, 16>(C, StoreName, Small, Large, Whole);
+  sweepOne<EdgeSet, 2048, 16>(C, StoreName, Small, Large, Whole);
+  sweepOne<EdgeSet, 4096, 16>(C, StoreName, Small, Large, Whole);
+  sweepOne<EdgeSet, 8192, 16>(C, StoreName, Small, Large, Whole);
+  sweepOne<EdgeSet, 16384, 16>(C, StoreName, Small, Large, Whole);
+  sweepOne<EdgeSet, 4096, 8>(C, StoreName, Small, Large, Whole);
+  sweepOne<EdgeSet, 4096, 32>(C, StoreName, Small, Large, Whole);
+  sweepOne<EdgeSet, 4096, 64>(C, StoreName, Small, Large, Whole);
+  sweepOne<EdgeSet, 4096, 256>(C, StoreName, Small, Large, Whole);
+}
+
+/// Refresh of n / Den uniformly spread touched vertices (the successor is
+/// the same snapshot, so every slot is re-resolved but none changes)
+/// against a full rebuild, at the default geometry.
+template <class EdgeSet>
+void runCrossover(const BenchConfig &C, const BenchInput &In,
+                  const char *StoreName) {
+  using FlatG = FlatSnapshotT<EdgeSet>;
+  auto G = GraphSnapshotT<EdgeSet>::fromEdges(In.N, In.Edges);
+  FlatG Base(G);
+  double RebuildT = benchTime(C.Rounds, [&] { FlatG FS(G); });
+  for (uint64_t Den : {64, 32, 16, 8}) {
+    std::vector<VertexId> Keys;
+    for (VertexId V = 0; V < In.N; ++V)
+      if (hashAt(C.Seed + Den, V) % Den == 0)
+        Keys.push_back(V);
+    double RefreshT = benchTime(C.Rounds, [&] {
+      FlatG FS = FlatG::refresh(Base, G, Keys.data(), Keys.size());
+    });
+    std::string Scope = std::string("crossover/") + StoreName + "/" +
+                        In.Name + "/n_over_" + std::to_string(Den);
+    recordMetric(Scope + "/rebuild_s", RebuildT);
+    recordMetric(Scope + "/refresh_s", RefreshT);
+    recordMetric(Scope + "/speedup", RebuildT / RefreshT);
+    std::printf("%-28s %10zu %12s %12s %8.2fx%s\n",
+                (std::string(StoreName) + "/" + In.Name + " n/" +
+                 std::to_string(Den)).c_str(),
+                Keys.size(), fmtTime(RebuildT).c_str(),
+                fmtTime(RefreshT).c_str(), RebuildT / RefreshT,
+                compareSuffix(Scope + "/speedup", RebuildT / RefreshT)
+                    .c_str());
+  }
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -157,6 +366,30 @@ int main(int Argc, char **Argv) {
 
   runTable6(C, Inputs);
   runRefresh(C, Inputs);
+
+  BenchConfig Mid = C;
+  Mid.LogN = C.LogN + 1;
+  BenchInput Served = makeInput(Mid);
+  printHeader("Served shape: S=8 store, 10-edge batches, acquireFlat() "
+              "refresh and superseded-epoch release");
+  std::printf("%-20s %12s %12s %12s %12s\n", "Store", "Refresh p50",
+              "Refresh p90", "Release p50", "Release p90");
+  runServed<HybridShardedGraphStore>(C, Served, "hybrid-s8");
+  runServed<ShardedGraphStore>(C, Served, "ctree-s8");
+
+  printHeader("Page-table geometry sweep (S=8 per-shard refresh, "
+              "S=1 flat BFS)");
+  std::printf("%-28s %6s %10s %12s %12s %12s %12s\n", "Geometry", "Slots",
+              "Build", "Refresh b10", "Release b10", "Refresh b1%",
+              "BFS flat");
+  runGeometry<HybridEdgeSet>(C, Served, "hybrid-s8");
+  runGeometry<CTreeSet<VertexId, DeltaByteCodec>>(C, Served, "ctree-s8");
+
+  printHeader("Refresh vs rebuild crossover (S=1, uniform touched sets)");
+  std::printf("%-28s %10s %12s %12s %9s\n", "Input", "Touched", "Rebuild",
+              "Refresh", "Speedup");
+  runCrossover<HybridEdgeSet>(C, Served, "hybrid");
+  runCrossover<CTreeSet<VertexId, DeltaByteCodec>>(C, Served, "ctree");
 
   finishMetricTrail(CL);
   return 0;

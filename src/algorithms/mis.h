@@ -63,13 +63,18 @@ std::vector<uint8_t> mis(const GView &G, AlgoContext &Ctx,
       if (Winner[I])
         State[Active[I]] = MisState::In;
     });
-    // Phase 3: remove neighbors of winners.
+    // Phase 3: remove neighbors of winners. Winners sharing a neighbor
+    // race on its state, so Undecided -> Out is a relaxed CAS; whichever
+    // winner takes it, the outcome is the same.
     parallelFor(0, ActiveSize, [&](size_t I) {
       if (!Winner[I])
         return;
       G.iterNeighborsCond(Active[I], [&](VertexId U) {
-        if (State[U] == MisState::Undecided)
-          State[U] = MisState::Out; // idempotent benign race
+        uint8_t Expect = uint8_t(MisState::Undecided);
+        __atomic_compare_exchange_n(reinterpret_cast<uint8_t *>(&State[U]),
+                                    &Expect, uint8_t(MisState::Out),
+                                    /*weak=*/false, __ATOMIC_RELAXED,
+                                    __ATOMIC_RELAXED);
         return true;
       });
     }, 16);

@@ -12,10 +12,11 @@
 // polylog depth.
 //
 // Flat snapshots (Section 5.1) give edgeMap O(1) vertex access like CSR.
-// They are stored as refcounted fixed-size pages of (edge-set view,
-// degree) slots: a full build is one write-once O(n)-work traversal, and
-// FlatSnapshotT::refresh derives the flat view of a successor snapshot in
-// O(touched + touched pages) work, sharing every untouched page with the
+// They are stored as a two-level persistent page table: refcounted pages
+// of (edge-set view, degree) slots under refcounted directories. A full
+// build writes every slot once, and FlatSnapshotT::refresh derives the
+// flat view of a successor snapshot by cloning only the touched pages and
+// the directories above them, sharing everything else with the
 // predecessor (copy-on-write). The sharded store keeps a hot-epoch flat
 // snapshot continuously maintained this way (acquireFlat()).
 //
@@ -27,6 +28,7 @@
 #include "ctree/ctree.h"
 #include "graph/hybrid_set.h"
 #include "graph/uncompressed_set.h"
+#include "memory/pool_allocator.h"
 #include "parallel/primitives.h"
 #include "util/types.h"
 
@@ -464,62 +466,106 @@ private:
   BuildParams Params{};
 };
 
+namespace detail {
+constexpr unsigned log2Floor(size_t X) {
+  unsigned L = 0;
+  while (X >>= 1)
+    ++L;
+  return L;
+}
+/// Exponent of the power of two nearest \p X (> 0), rounding in log space.
+constexpr unsigned log2Nearest(size_t X) {
+  unsigned L = log2Floor(X);
+  return X * X >= (size_t(2) << (2 * L)) ? L + 1 : L;
+}
+} // namespace detail
+
+/// Flat-snapshot page table geometry: a page aims at FlatPageBytes of
+/// (view, degree) slots, and a directory holds FlatDirFanout pages. The
+/// geometry/* rows of BENCH_flat_snapshot.json sweep both (DESIGN.md
+/// Section 4).
+inline constexpr size_t FlatPageBytes = 4096;
+inline constexpr size_t FlatDirFanout = 16;
+
 /// Flat snapshot (Section 5.1): a dense array of per-vertex edge-set
 /// views plus degrees, giving O(1) vertex access like CSR. Slots are
 /// non-owning (trivially destructible); the retained source snapshot
 /// keeps every edge tree alive, so construction and destruction incur no
 /// per-vertex reference-count traffic.
 ///
-/// Storage is paged copy-on-write: slots live in refcounted fixed-size
-/// pages (PageSlots views + degrees each), and the page table is the only
-/// per-snapshot dense array. A full build is a single write-once in-order
-/// traversal of the vertex tree - every slot (materialized vertex or
-/// hole) is written exactly once into uninitialized page storage, with no
-/// prior O(n) zero-initialization. refresh() derives the flat view of a
-/// *successor* snapshot from a predecessor's flat view in O(touched +
-/// touched-pages) work: untouched pages are shared by refcount (their
-/// views stay valid because a functional update only replaces the edge
-/// sets of touched vertices - every other vertex keeps the identical,
-/// refcounted (root, prefix) pair in the new snapshot), touched pages are
-/// cloned and slot-repaired, and universe growth is filled from the tree.
+/// Storage is a two-level persistent page table. Slots live in
+/// refcounted pages of PageSlots (view, degree) pairs; pages hang off
+/// refcounted directories of DirPages page pointers; the directory vector
+/// is the only per-snapshot dense array, so copying a flat snapshot
+/// retains its directories and nothing else. A full build fills the
+/// pages in parallel, each by an in-order traversal of the vertex tree
+/// clipped to its slot range - every slot (materialized vertex or hole)
+/// is written exactly once into uninitialized page storage, at O(n +
+/// pages * log n) work. refresh() derives the flat view of a
+/// *successor* snapshot from a predecessor's: untouched directories are
+/// shared by refcount, and a directory above a touched page is cloned
+/// (its untouched pages retained, not copied) while the touched page is
+/// cloned and slot-repaired. Untouched slots stay valid because a
+/// functional update only replaces the edge sets of touched vertices -
+/// every other vertex keeps the identical, refcounted (root, prefix) pair
+/// in the new snapshot. Universe growth is filled from the tree. A
+/// refresh costs O(touched pages * page bytes + touched directories *
+/// DirPages + directories) plus O(log n) per touched vertex.
 /// This is what turns flat snapshots from a per-epoch batch job into the
 /// continuously maintained read index behind the stores' acquireFlat().
 ///
 /// \p SlotShift maps vertex keys to slots (slot = key >> SlotShift): 0
 /// for whole-graph snapshots, log2(shards) for a sharded store's
-/// per-shard flats, whose keys all share their low bits.
-template <class EdgeSet> class FlatSnapshotT {
+/// per-shard flats, whose keys all share their low bits. \p PageBytes and
+/// \p DirFanout fix the geometry at compile time; everything but the
+/// geometry sweep in bench_flat_snapshot uses the defaults.
+template <class EdgeSet, size_t PageBytes = FlatPageBytes,
+          size_t DirFanout = FlatDirFanout>
+class FlatSnapshotT {
 public:
   using SetView = typename EdgeSet::View;
   static_assert(std::is_trivially_copyable<SetView>::value &&
                     std::is_trivially_destructible<SetView>::value,
                 "flat-snapshot slots must be trivially copyable views");
+  static_assert(DirFanout > 0 && (DirFanout & (DirFanout - 1)) == 0,
+                "directory fanout must be a power of two");
 
-  /// Slots per page. Small enough that a batch touching a spread of
-  /// vertices still shares most pages; large enough that the page table
-  /// and per-page refcount stay negligible (see DESIGN.md Section 4).
-  static constexpr size_t PageSlots = 1024;
+  /// Slots per page: the power of two nearest PageBytes / slot bytes
+  /// (64 on the hybrid store's 68-byte slots, 256 on the C-tree store's
+  /// 20-byte slots at the default 4 KB).
+  static constexpr size_t PageSlots = size_t(1) << detail::log2Nearest(
+      std::max<size_t>(1, PageBytes / (sizeof(SetView) + sizeof(uint32_t))));
+  static constexpr size_t DirPages = DirFanout;
 
   FlatSnapshotT() = default;
 
   explicit FlatSnapshotT(GraphSnapshotT<EdgeSet> G, unsigned SlotShift = 0)
       : Owner(std::move(G)), Shift(SlotShift), NumEdgesV(Owner.numEdges()) {
     NumSlots = slotCount(Owner.vertexUniverse());
-    Pages.resize(pageCount(NumSlots));
-    parallelFor(0, Pages.size(), [&](size_t P) { Pages[P] = newPage(); });
-    fillFromTree(Owner.root(), 0, NumSlots, /*ClipLo=*/0);
+    const size_t NP = pageCount(NumSlots);
+    Dirs.resize(dirCount(NP));
+    parallelFor(0, Dirs.size(), [&](size_t D) {
+      Dir *Dr = newNode<Dir>();
+      for (size_t J = 0; J < DirPages; ++J)
+        Dr->Pages[J] = (D << DirLog) + J < NP ? newNode<Page>() : nullptr;
+      Dirs[D] = Dr;
+    });
+    parallelFor(0, NP, [&](size_t P) {
+      fillPage(P, VertexId(P << PageLog),
+               std::min(NumSlots, VertexId((P + 1) << PageLog)));
+    });
   }
 
   FlatSnapshotT(const FlatSnapshotT &O)
-      : Owner(O.Owner), Pages(O.Pages), NumSlots(O.NumSlots),
-        Shift(O.Shift), NumEdgesV(O.NumEdgesV) {
-    for (Page *P : Pages)
-      retainPage(P);
+      : Owner(O.Owner), Dirs(O.Dirs), NumSlots(O.NumSlots), Shift(O.Shift),
+        NumEdgesV(O.NumEdgesV) {
+    for (Dir *D : Dirs)
+      retain(D);
   }
   FlatSnapshotT(FlatSnapshotT &&O) noexcept
-      : Owner(std::move(O.Owner)), Pages(std::move(O.Pages)),
+      : Owner(std::move(O.Owner)), Dirs(std::move(O.Dirs)),
         NumSlots(O.NumSlots), Shift(O.Shift), NumEdgesV(O.NumEdgesV) {
-    O.Pages.clear();
+    O.Dirs.clear();
     O.NumSlots = 0;
     O.NumEdgesV = 0;
   }
@@ -532,29 +578,30 @@ public:
   }
   FlatSnapshotT &operator=(FlatSnapshotT &&O) noexcept {
     if (this != &O) {
-      releasePages();
+      releaseDirs();
       Owner = std::move(O.Owner);
-      Pages = std::move(O.Pages);
+      Dirs = std::move(O.Dirs);
       NumSlots = O.NumSlots;
       Shift = O.Shift;
       NumEdgesV = O.NumEdgesV;
-      O.Pages.clear();
+      O.Dirs.clear();
       O.NumSlots = 0;
       O.NumEdgesV = 0;
     }
     return *this;
   }
-  ~FlatSnapshotT() { releasePages(); }
+  ~FlatSnapshotT() { releaseDirs(); }
 
   /// Flat view of \p Next derived from \p Prev's flat view.
   /// Preconditions: \p Next is a (possibly multi-batch) functional
   /// successor of Prev's snapshot, and \p TouchedKeys lists - sorted
   /// ascending, duplicate-free - every vertex whose edge set differs
   /// between the two (the union of the intervening epochs' digests).
-  /// Untouched pages are shared with \p Prev; pages containing touched
-  /// slots are cloned and repaired by O(log n) lookups; slots the
-  /// universe grew into are filled from the tree (so a touched list that
-  /// omits brand-new vertices beyond Prev's universe is still correct).
+  /// Untouched directories are shared with \p Prev; directories above
+  /// touched pages are cloned, and the touched pages themselves cloned
+  /// and repaired by O(log n) lookups; slots the universe grew into are
+  /// filled from the tree (so a touched list that omits brand-new
+  /// vertices beyond Prev's universe is still correct).
   static FlatSnapshotT refresh(const FlatSnapshotT &Prev,
                                GraphSnapshotT<EdgeSet> Next,
                                const VertexId *TouchedKeys,
@@ -566,21 +613,12 @@ public:
     FS.NumSlots = FS.slotCount(FS.Owner.vertexUniverse());
 
     const VertexId OldSlots = Prev.NumSlots;
-    const size_t OldPages = Prev.Pages.size();
+    const size_t OldPages = pageCount(OldSlots);
     const size_t NewPages = pageCount(FS.NumSlots);
-    // Start fully shared; work pages are overwritten below.
-    FS.Pages.resize(NewPages);
-    size_t Shared = std::min(NewPages, OldPages);
-    for (size_t P = 0; P < Shared; ++P) {
-      FS.Pages[P] = Prev.Pages[P];
-      retainPage(Prev.Pages[P]);
-    }
-    for (size_t P = Shared; P < NewPages; ++P)
-      FS.Pages[P] = nullptr;
 
-    // Work set: pages holding touched slots below the repair limit, plus
-    // every page the universe grew into (including a partial old last
-    // page). Touched keys are sorted, so page runs come out grouped.
+    // Work set, ascending by page: pages holding touched slots below the
+    // repair limit, then every page the universe grew into (including a
+    // partial old last page, which may already be listed as touched).
     const VertexId RepairLimit = std::min(OldSlots, FS.NumSlots);
     struct WorkPage {
       size_t Page;
@@ -593,71 +631,102 @@ public:
              "touched digest must be sorted and duplicate-free");
       if (Slot >= RepairLimit)
         break; // growth region (or dropped tail): handled by the tree fill
-      size_t P = size_t(Slot) / PageSlots;
+      size_t P = size_t(Slot) >> PageLog;
       size_t J = I + 1;
       while (J < NumTouched) {
         VertexId S2 = FS.slotOf(TouchedKeys[J]);
-        if (S2 >= RepairLimit || size_t(S2) / PageSlots != P)
+        if (S2 >= RepairLimit || (size_t(S2) >> PageLog) != P)
           break;
         ++J;
       }
       Work.push_back({P, I, J});
       I = J;
     }
-    size_t NumTouchedPages = Work.size();
+    const size_t NumTouchedPages = Work.size();
     if (FS.NumSlots > OldSlots) {
-      size_t GrowFirst = size_t(OldSlots) / PageSlots;
-      size_t Skip = 0; // touched pages already in the work list
-      while (Skip < NumTouchedPages &&
-             Work[NumTouchedPages - 1 - Skip].Page >= GrowFirst)
-        ++Skip;
-      for (size_t P = GrowFirst; P < NewPages; ++P) {
-        bool Listed = false;
-        for (size_t K = 0; K < Skip; ++K)
-          Listed |= Work[NumTouchedPages - 1 - K].Page == P;
-        if (!Listed)
-          Work.push_back({P, 0, 0});
-      }
+      size_t P = size_t(OldSlots) >> PageLog;
+      if (NumTouchedPages && Work.back().Page == P)
+        ++P;
+      for (; P < NewPages; ++P)
+        Work.push_back({P, 0, 0});
     }
 
-    // Clone (or allocate) every work page. Cloning copies only the
-    // predecessor's valid slots; growth slots are written below.
-    parallelFor(0, Work.size(), [&](size_t W) {
-      size_t P = Work[W].Page;
-      Page *NP = newPage();
-      if (P < OldPages) {
-        size_t Valid = std::min(PageSlots,
-                                size_t(OldSlots) - P * PageSlots);
-        std::memcpy(NP->Views, Prev.Pages[P]->Views,
-                    Valid * sizeof(SetView));
-        std::memcpy(NP->Degrees, Prev.Pages[P]->Degrees,
-                    Valid * sizeof(uint32_t));
+    // Directory runs of the work set; every other directory is shared.
+    struct WorkDir {
+      size_t Dir;
+      size_t WBegin, WEnd; ///< its pages' range in Work
+    };
+    std::vector<WorkDir> WDirs;
+    for (size_t W = 0; W < Work.size();) {
+      size_t D = Work[W].Page >> DirLog, E = W + 1;
+      while (E < Work.size() && (Work[E].Page >> DirLog) == D)
+        ++E;
+      WDirs.push_back({D, W, E});
+      W = E;
+    }
+    FS.Dirs.assign(dirCount(NewPages), nullptr);
+    for (size_t D = 0, K = 0; D < FS.Dirs.size(); ++D) {
+      if (K < WDirs.size() && WDirs[K].Dir == D) {
+        ++K;
+        continue;
       }
-      if (FS.Pages[P])
-        releasePage(FS.Pages[P]);
-      FS.Pages[P] = NP;
-    });
+      assert(D < Prev.Dirs.size() && "a grown directory holds growth pages");
+      FS.Dirs[D] = Prev.Dirs[D];
+      retain(FS.Dirs[D]);
+    }
 
-    // Universe growth: write-once fill from the tree (covers new vertices
-    // and holes alike; O(growth + log n) via clipping).
-    if (FS.NumSlots > OldSlots)
-      FS.fillFromTree(FS.Owner.root(), 0, FS.NumSlots, /*ClipLo=*/OldSlots);
+    // Clone the work directories: untouched pages are retained, work
+    // pages left for the clones below. Both loops fork in tasks of up to
+    // DirPages items, so a small batch's refresh never pays a fork.
+    const size_t KeepPages = std::min(OldPages, NewPages);
+    parallelFor(0, WDirs.size(), [&](size_t K) {
+      const WorkDir &WD = WDirs[K];
+      Dir *ND = newNode<Dir>();
+      size_t W = WD.WBegin;
+      for (size_t J = 0; J < DirPages; ++J) {
+        size_t P = (WD.Dir << DirLog) + J;
+        Page *Src = nullptr;
+        if (W < WD.WEnd && Work[W].Page == P) {
+          ++W;
+        } else if (P < KeepPages) {
+          Src = Prev.Dirs[WD.Dir]->Pages[J];
+          retain(Src);
+        }
+        ND->Pages[J] = Src;
+      }
+      FS.Dirs[WD.Dir] = ND;
+    }, DirPages);
 
-    // Slot repair: point every touched slot at its edge set in the new
-    // snapshot (deleted-to-empty and untouched-by-updateExisting sources
-    // resolve through findNode just the same).
+    // Clone every work page (only the predecessor's valid slots), fill
+    // the slots the universe grew into from the tree, and point each
+    // touched slot at its edge set in the new snapshot (deleted-to-empty
+    // and untouched-by-updateExisting sources resolve through findNode
+    // just the same). Repairs write slots below the repair limit and the
+    // fill slots above it, so the two never overlap.
     using VT = typename GraphSnapshotT<EdgeSet>::VT;
     const typename VT::Node *Root = FS.Owner.root();
-    parallelFor(0, NumTouchedPages, [&](size_t W) {
-      Page *P = FS.Pages[Work[W].Page];
+    parallelFor(0, Work.size(), [&](size_t W) {
+      size_t P = Work[W].Page;
+      Page *NP = newNode<Page>();
+      if (P < OldPages) {
+        size_t Valid =
+            std::min(PageSlots, size_t(OldSlots) - (P << PageLog));
+        const Page *OP = Prev.pageAt(P);
+        std::memcpy(NP->Views, OP->Views, Valid * sizeof(SetView));
+        std::memcpy(NP->Degrees, OP->Degrees, Valid * sizeof(uint32_t));
+      }
+      FS.Dirs[P >> DirLog]->Pages[P & (DirPages - 1)] = NP;
+      VertexId PageEnd = std::min(FS.NumSlots, VertexId((P + 1) << PageLog));
+      FS.fillPage(P, std::max(OldSlots, VertexId(P << PageLog)), PageEnd);
       for (size_t I = Work[W].TBegin; I < Work[W].TEnd; ++I) {
         VertexId Key = TouchedKeys[I];
-        size_t At = size_t(FS.slotOf(Key)) % PageSlots;
+        size_t At = size_t(FS.slotOf(Key)) & (PageSlots - 1);
         const typename VT::Node *N = VT::findNode(Root, Key);
-        P->Views[At] = N ? N->Val.view() : SetView{};
-        P->Degrees[At] = N ? uint32_t(N->Val.size()) : 0;
+        NP->Views[At] = N ? N->Val.view() : SetView{};
+        NP->Degrees[At] = N ? uint32_t(N->Val.size()) : 0;
       }
-    });
+    }, DirPages);
+
     return FS;
   }
 
@@ -666,10 +735,12 @@ public:
   uint64_t numEdges() const { return NumEdgesV; }
   /// O(1). \p Slot is a vertex id >> SlotShift; must be < numVertices().
   uint64_t degree(VertexId Slot) const {
-    return Pages[size_t(Slot) / PageSlots]->Degrees[size_t(Slot) % PageSlots];
+    return pageAt(size_t(Slot) >> PageLog)
+        ->Degrees[size_t(Slot) & (PageSlots - 1)];
   }
   SetView edges(VertexId Slot) const {
-    return Pages[size_t(Slot) / PageSlots]->Views[size_t(Slot) % PageSlots];
+    return pageAt(size_t(Slot) >> PageLog)
+        ->Views[size_t(Slot) & (PageSlots - 1)];
   }
 
   /// The snapshot this flat view resolves (also what keeps it alive).
@@ -678,51 +749,84 @@ public:
 
   /// Bytes used by the flat structure itself (Table 2, "Flat Snap."):
   /// full page footprint - slot arrays plus per-page refcount header and
-  /// padding - and the page table. Shared pages are counted in full here;
-  /// sharedPages() reports how many are co-owned with other snapshots.
+  /// padding - the directories, and the directory vector. Shared pages
+  /// are counted in full here; sharedPages() reports how many are
+  /// co-owned with other snapshots.
   size_t memoryBytes() const {
-    return Pages.size() * sizeof(Page) +
-           Pages.capacity() * sizeof(Page *);
+    return numPages() * sizeof(Page) + Dirs.size() * sizeof(Dir) +
+           Dirs.capacity() * sizeof(Dir *);
   }
 
-  /// Pages co-owned with other flat snapshots (CoW sharing diagnostic).
+  /// Pages co-owned with other flat snapshots, directly or through a
+  /// shared directory (CoW sharing diagnostic).
   size_t sharedPages() const {
     size_t N = 0;
-    for (Page *P : Pages)
-      N += P->Refs.load(std::memory_order_relaxed) > 1 ? 1 : 0;
+    for (size_t P = 0, NP = numPages(); P < NP; ++P) {
+      const Dir *D = Dirs[P >> DirLog];
+      N += D->Refs.load(std::memory_order_relaxed) > 1 ||
+           D->Pages[P & (DirPages - 1)]->Refs.load(
+               std::memory_order_relaxed) > 1;
+    }
     return N;
   }
-  size_t numPages() const { return Pages.size(); }
+  size_t numPages() const { return pageCount(NumSlots); }
 
 private:
+  static constexpr unsigned PageLog = detail::log2Floor(PageSlots);
+  static constexpr unsigned DirLog = detail::log2Floor(DirPages);
+
   /// A refcounted page of slots. Slot arrays are raw storage filled
   /// write-once by the builders; SetView is trivially copyable, so page
-  /// clones are two memcpys and destruction is a single free.
+  /// clones are two memcpys and destruction is a single pool free.
   struct Page {
     std::atomic<uint32_t> Refs;
     SetView Views[PageSlots];
     uint32_t Degrees[PageSlots];
   };
+  /// A refcounted directory: DirPages owning page pointers (nullptr past
+  /// the last page).
+  struct Dir {
+    std::atomic<uint32_t> Refs;
+    Page *Pages[DirPages];
+  };
 
-  static Page *newPage() {
-    Page *P = static_cast<Page *>(::operator new(sizeof(Page)));
-    new (&P->Refs) std::atomic<uint32_t>(1);
-    return P; // slot arrays deliberately uninitialized (write-once fill)
+  /// Pages and directories come from typed pools, so neither a build nor
+  /// a refresh pays one heap allocation per page.
+  template <class T> static T *newNode() {
+    T *N = static_cast<T *>(NodePool<T>::allocRaw());
+    new (&N->Refs) std::atomic<uint32_t>(1);
+    return N; // payload deliberately uninitialized (write-once fill)
   }
-  static void retainPage(Page *P) {
-    P->Refs.fetch_add(1, std::memory_order_relaxed);
+  template <class T> static void retain(T *N) {
+    N->Refs.fetch_add(1, std::memory_order_relaxed);
+  }
+  template <class T> static bool unref(T *N) {
+    if (N->Refs.fetch_sub(1, std::memory_order_acq_rel) != 1)
+      return false;
+    N->Refs.~atomic();
+    return true;
   }
   static void releasePage(Page *P) {
-    if (P->Refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      P->Refs.~atomic();
-      ::operator delete(P);
-    }
+    if (unref(P))
+      NodePool<Page>::freeRaw(P);
   }
-  void releasePages() {
-    for (Page *P : Pages)
+  static void releaseDir(Dir *D) {
+    if (!unref(D))
+      return;
+    for (Page *P : D->Pages)
       if (P)
         releasePage(P);
-    Pages.clear();
+    NodePool<Dir>::freeRaw(D);
+  }
+  void releaseDirs() {
+    for (Dir *D : Dirs)
+      if (D)
+        releaseDir(D);
+    Dirs.clear();
+  }
+
+  Page *pageAt(size_t P) const {
+    return Dirs[P >> DirLog]->Pages[P & (DirPages - 1)];
   }
 
   VertexId slotOf(VertexId Key) const { return Key >> Shift; }
@@ -730,61 +834,44 @@ private:
     return Universe ? ((Universe - 1) >> Shift) + 1 : 0;
   }
   static size_t pageCount(VertexId Slots) {
-    return (size_t(Slots) + PageSlots - 1) / PageSlots;
+    return (size_t(Slots) + PageSlots - 1) >> PageLog;
+  }
+  static size_t dirCount(size_t Pages) {
+    return (Pages + DirPages - 1) >> DirLog;
   }
 
-  void writeSlot(VertexId Slot, const EdgeSet &S) {
-    Page *P = Pages[size_t(Slot) / PageSlots];
-    size_t At = size_t(Slot) % PageSlots;
-    P->Views[At] = S.view();
-    P->Degrees[At] = uint32_t(S.size());
+  /// Write-once fill of page \p P's slots [Lo, Hi) from the vertex tree:
+  /// materialized vertices get their view/degree, key gaps (holes of the
+  /// universe) the default slot. Each slot is written exactly once, here
+  /// or by a clone, never both.
+  void fillPage(size_t P, VertexId Lo, VertexId Hi) {
+    fillRange(Owner.root(), Lo, Hi, pageAt(P), VertexId(P << PageLog));
   }
 
-  /// Default-fill (empty view, degree 0) slots [Lo, Hi) - the holes of
-  /// the vertex universe. Each slot is written exactly once, here or in
-  /// writeSlot, never both.
-  void fillDefault(VertexId Lo, VertexId Hi) {
-    while (Lo < Hi) {
-      Page *P = Pages[size_t(Lo) / PageSlots];
-      size_t At = size_t(Lo) % PageSlots;
-      size_t N = std::min(size_t(Hi - Lo), PageSlots - At);
-      std::fill(P->Views + At, P->Views + At + N, SetView{});
-      std::memset(P->Degrees + At, 0, N * sizeof(uint32_t));
-      Lo += VertexId(N);
-    }
-  }
-
-  /// Write-once in-order fill of slots [Lo, Hi) from the vertex tree
-  /// rooted at \p N, restricted to slots >= ClipLo (subtrees entirely
-  /// below the clip are skipped, so a growth fill costs O(growth +
-  /// log n) rather than a full traversal). Materialized vertices get
-  /// their view/degree; key gaps get the default slot.
-  void fillFromTree(const typename GraphSnapshotT<EdgeSet>::VT::Node *N,
-                    VertexId Lo, VertexId Hi, VertexId ClipLo) {
-    using VT = typename GraphSnapshotT<EdgeSet>::VT;
-    if (Hi <= ClipLo || Lo >= Hi)
+  /// In-order fill of the slots in [Lo, Hi) that subtree \p N covers.
+  /// Subtrees outside the range are skipped, so a page costs O(its slots
+  /// + log n) and writes go straight into its arrays.
+  void fillRange(const typename GraphSnapshotT<EdgeSet>::VT::Node *N,
+                 VertexId Lo, VertexId Hi, Page *Pg, VertexId Base) const {
+    if (Lo >= Hi)
       return;
     if (!N) {
-      fillDefault(std::max(Lo, ClipLo), Hi);
+      std::fill(Pg->Views + (Lo - Base), Pg->Views + (Hi - Base), SetView{});
+      std::memset(Pg->Degrees + (Lo - Base), 0,
+                  size_t(Hi - Lo) * sizeof(uint32_t));
       return;
     }
     VertexId S = slotOf(N->Key);
-    auto DoLeft = [&] { fillFromTree(N->Left, Lo, S, ClipLo); };
-    auto DoRight = [&] {
-      if (S >= ClipLo)
-        writeSlot(S, N->Val);
-      fillFromTree(N->Right, S + 1, Hi, ClipLo);
-    };
-    if (N->Size >= VT::SeqCutoff)
-      parallelDo(DoLeft, DoRight);
-    else {
-      DoLeft();
-      DoRight();
+    fillRange(N->Left, Lo, std::min(S, Hi), Pg, Base);
+    if (S >= Lo && S < Hi) {
+      Pg->Views[S - Base] = N->Val.view();
+      Pg->Degrees[S - Base] = uint32_t(N->Val.size());
     }
+    fillRange(N->Right, std::max(S + 1, Lo), Hi, Pg, Base);
   }
 
   GraphSnapshotT<EdgeSet> Owner;
-  std::vector<Page *> Pages;
+  std::vector<Dir *> Dirs;
   VertexId NumSlots = 0;
   unsigned Shift = 0;
   uint64_t NumEdgesV = 0;
@@ -840,11 +927,14 @@ private:
 };
 
 /// View over a flat snapshot: O(1) vertex access, as in CSR.
-template <class EdgeSet> class FlatGraphView {
+template <class EdgeSet, size_t PageBytes = FlatPageBytes,
+          size_t DirFanout = FlatDirFanout>
+class FlatGraphView {
 public:
   using NeighborCursor = typename EdgeSet::View::Cursor;
+  using Flat = FlatSnapshotT<EdgeSet, PageBytes, DirFanout>;
 
-  explicit FlatGraphView(const FlatSnapshotT<EdgeSet> &FS) : FS(&FS) {}
+  explicit FlatGraphView(const Flat &FS) : FS(&FS) {}
 
   VertexId numVertices() const { return FS->numVertices(); }
   uint64_t numEdges() const { return FS->numEdges(); }
@@ -878,7 +968,7 @@ public:
   }
 
 private:
-  const FlatSnapshotT<EdgeSet> *FS;
+  const Flat *FS;
 };
 
 /// Default Aspen configuration: C-trees with difference encoding.

@@ -74,10 +74,13 @@ public:
     }
 
     /// Flat-epoch pin (first call acquires; later calls reuse). Cache
-    /// hits take the store's lock-free fast path.
+    /// hits take the store's lock-free fast path. A pin that refreshes
+    /// the store's flat takes over the flat epoch it superseded, so its
+    /// reclamation runs when this context is destroyed - on the same
+    /// worker, but after the query callback has produced its reply.
     const std::shared_ptr<const typename Store::FlatEpoch> &flat() {
       if (!FlatPin)
-        FlatPin = S.acquireFlat();
+        FlatPin = S.acquireFlat(&Superseded);
       return FlatPin;
     }
 
@@ -88,6 +91,7 @@ public:
     AlgoContext &Ctx;
     typename Store::Ref Pinned;
     std::shared_ptr<const typename Store::FlatEpoch> FlatPin;
+    std::shared_ptr<const typename Store::FlatEpoch> Superseded;
   };
 
   using Query = std::function<void(QueryContext &)>;

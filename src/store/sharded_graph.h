@@ -48,8 +48,8 @@
 // and bit-identically — on a sharded acquire.
 //
 // acquireFlat() additionally maintains a hot flat rendering of the
-// current epoch — per-shard paged-CoW FlatSnapshotTs indexed by
-// shard-local id, composed behind ShardedFlatView for O(1) vertex access
+// current epoch — per-shard FlatSnapshotTs (two-level copy-on-write page
+// tables) indexed by shard-local id, composed behind ShardedFlatView for O(1) vertex access
 // — refreshed batch-to-batch from the merge pipeline's touched-vertex
 // digests instead of rebuilt (DESIGN.md Section 4).
 //
@@ -87,7 +87,7 @@ struct FlatMaintenanceStats {
 /// replayed digests touch at most universe / FlatRefreshDenominator
 /// distinct vertices, covering at most FlatReplayMaxEpochs epochs;
 /// anything else rebuilds. See DESIGN.md Section 4 for the crossover
-/// analysis.
+/// analysis and the crossover/* rows of BENCH_flat_snapshot.json.
 inline constexpr uint64_t FlatRefreshDenominator = 8;
 inline constexpr size_t FlatReplayMaxEpochs = 64;
 
@@ -393,8 +393,8 @@ public:
   };
 
   //===--------------------------------------------------------------------===
-  // Hot-epoch flat snapshots (DESIGN.md Section 4): per-shard paged-CoW
-  // flat arrays indexed by shard-local id, maintained epoch-to-epoch from
+  // Hot-epoch flat snapshots (DESIGN.md Section 4): per-shard
+  // copy-on-write flat snapshots indexed by shard-local id, maintained epoch-to-epoch from
   // the ingest pipeline's touched digests and composed behind a graph
   // view, so analytics get O(1) vertex access on the latest epoch
   // without an O(n) rebuild per batch.
@@ -488,7 +488,15 @@ public:
   /// FlatRefreshDenominator — is a full parallel rebuild. Callers
   /// serialize on an internal mutex for the catch-up work; writers are
   /// never blocked by it. Hold the shared_ptr while using the view.
-  std::shared_ptr<const FlatEpoch> acquireFlat() {
+  ///
+  /// A refresh or rebuild supersedes the cached flat epoch. Without
+  /// \p Superseded, it is dropped here, and if nothing else holds it,
+  /// its pages and the tree version only it still pins are reclaimed
+  /// before this call returns. With \p Superseded, the caller takes it
+  /// over and chooses when that reclamation runs (the server: after the
+  /// query's reply). Untouched on a cache hit.
+  std::shared_ptr<const FlatEpoch>
+  acquireFlat(std::shared_ptr<const FlatEpoch> *Superseded = nullptr) {
     size_t S = numShards();
     // Lock-free fast path: one atomic seq load + one atomic shared_ptr
     // load, no mutex. The seq is read FIRST; if the cached flat then
@@ -579,6 +587,8 @@ public:
     std::atomic_store_explicit(
         &CachedFlat, std::shared_ptr<const FlatEpoch>(New),
         std::memory_order_release);
+    if (Superseded)
+      *Superseded = std::move(Cached);
     return New;
   }
 

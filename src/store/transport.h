@@ -28,6 +28,7 @@
 
 #include "util/failpoint.h"
 
+#include <atomic>
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
@@ -167,7 +168,7 @@ makePipeTransportPair() {
           std::make_unique<FdTransport>(Fds[1])};
 }
 
-/// Listening unix-domain stream socket. accept() blocks; closing the
+/// Listening unix-domain stream socket. accept() blocks; stopping the
 /// listener (destructor or stop()) unblocks it with a TransportError.
 class UnixSocketListener {
 public:
@@ -195,7 +196,11 @@ public:
 
   UnixSocketListener(const UnixSocketListener &) = delete;
   UnixSocketListener &operator=(const UnixSocketListener &) = delete;
-  ~UnixSocketListener() { stop(); }
+  ~UnixSocketListener() {
+    stop();
+    if (Fd >= 0)
+      ::close(Fd);
+  }
 
   std::unique_ptr<ByteTransport> accept() {
     int C = ::accept(Fd, nullptr, nullptr);
@@ -205,13 +210,14 @@ public:
     return std::make_unique<FdTransport>(C);
   }
 
-  /// Close the listening socket (unblocks accept()) and remove the
-  /// filesystem name. Idempotent.
+  /// Shut the listening socket down (unblocks accept(), and every later
+  /// accept() fails) and remove the filesystem name. Idempotent, and safe
+  /// while another thread is inside accept(): the descriptor itself is
+  /// closed only by the destructor, so a concurrent accept() never reads
+  /// a descriptor being reset or reused.
   void stop() {
-    if (Fd >= 0) {
+    if (Fd >= 0 && !Stopped.exchange(true)) {
       ::shutdown(Fd, SHUT_RDWR);
-      ::close(Fd);
-      Fd = -1;
       (void)::unlink(Path.c_str());
     }
   }
@@ -220,7 +226,8 @@ public:
 
 private:
   std::string Path;
-  int Fd = -1;
+  int Fd = -1; ///< written only by the constructor
+  std::atomic<bool> Stopped{false};
 };
 
 inline std::unique_ptr<ByteTransport>

@@ -12,7 +12,8 @@
 //  - SnapshotServerT: queries under concurrent ingest see consistent
 //    epochs, overload sheds instead of stalling, epoch lag is tracked.
 //  - acquireFlat() lock-free fast path: repeated hits on an unchanged
-//    epoch are counted and all readers see the same flat.
+//    epoch are counted and all readers see the same flat; a query that
+//    refreshes releases the superseded flat after its callback.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +28,7 @@
 #include <cstring>
 #include <dirent.h>
 #include <future>
+#include <memory>
 #include <thread>
 #include <unistd.h>
 
@@ -511,6 +513,29 @@ TEST(ServeFlat, FastPathHitsOnUnchangedEpoch) {
   St = Store.flatStats();
   EXPECT_EQ(St.Refreshes + St.Rebuilds, 2u);
   EXPECT_EQ(St.Hits, Threads * Iters + 1);
+}
+
+TEST(ServeFlat, QueryReleasesSupersededFlatAfterItsCallback) {
+  const VertexId N = 1 << 10;
+  ShardedGraphStore Store(4, N, randomBatch(N, 3000, 11));
+  std::weak_ptr<const ShardedGraphStore::FlatEpoch> Prev =
+      Store.acquireFlat();
+  Store.insertBatch(randomBatch(N, 40, 12));
+  SnapshotServerT<ShardedGraphStore>::Options O;
+  O.Workers = 1;
+  SnapshotServerT<ShardedGraphStore> Server(Store, O);
+  std::atomic<int> AliveInCallback{-1};
+  ASSERT_TRUE(Server.submitQuery([&](auto &QC) {
+    (void)QC.flat(); // refreshes, superseding Prev
+    AliveInCallback.store(!Prev.expired());
+  }));
+  Server.drain();
+  // The query context held the superseded flat through the callback and
+  // released it once the query was done.
+  EXPECT_EQ(AliveInCallback.load(), 1);
+  EXPECT_TRUE(Prev.expired());
+  EXPECT_EQ(Store.flatStats().Refreshes, 1u);
+  Server.stop();
 }
 
 TEST(ServeFlat, SingleShardFastPathHits) {
