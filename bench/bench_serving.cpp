@@ -15,6 +15,11 @@
 //                           the default hybrid store and on chunked
 //   serve/overload/*        shed fraction + admitted-query p99 when
 //                           offered load far exceeds capacity
+//   serve/handoff/*         submit -> query start for one query at a time
+//                           after an idle gap of 20 us .. 20 ms (either
+//                           side of the admission queue's spin window),
+//                           and the idle server's CPU share once traffic
+//                           stops (its poller parks)
 //
 //   -json <path>    write every metric as flat JSON (BENCH_serving.json)
 //   -compare <path> annotate rows with before/after ratios vs a prior file
@@ -28,7 +33,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <thread>
+#include <time.h>
 
 using namespace aspen;
 
@@ -324,6 +331,84 @@ void benchOverload(const BenchConfig &C) {
   (void)St;
 }
 
+//===----------------------------------------------------------------------===
+// Section D: the admission handoff, either side of the spin window.
+//===----------------------------------------------------------------------===
+
+double processCpuSeconds() {
+  timespec T;
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &T);
+  return double(T.tv_sec) + double(T.tv_nsec) * 1e-9;
+}
+
+/// Process CPU time over wall time while the calling thread sleeps
+/// \p Seconds.
+double idleCpuFrac(double Seconds) {
+  double Cpu0 = processCpuSeconds();
+  Timer Wall;
+  std::this_thread::sleep_for(std::chrono::duration<double>(Seconds));
+  return (processCpuSeconds() - Cpu0) / Wall.elapsed();
+}
+
+void benchHandoff(const BenchConfig &C) {
+  const VertexId N = VertexId(1) << (C.LogN - 2);
+  HybridShardedGraphStore S(
+      4, N, rmatGraphEdges(C.LogN - 2, C.EdgeFactor, C.Seed));
+  SnapshotServer::Options O;
+  O.Workers = 2; // the end-to-end benchmark's tiny_stream server
+  auto Server = std::make_unique<SnapshotServer>(S, O);
+
+  std::printf("\n== handoff: %zu workers, one query at a time after an "
+              "idle gap (spin window %lld us) ==\n",
+              O.Workers,
+              static_cast<long long>(
+                  AdmissionQueueT<int>::SpinWindow.count()));
+
+  struct Gap {
+    const char *Name;
+    std::chrono::microseconds Length;
+    size_t Samples;
+  };
+  const Gap Gaps[] = {{"20us", std::chrono::microseconds(20), 2000},
+                      {"200us", std::chrono::microseconds(200), 1000},
+                      {"2ms", std::chrono::microseconds(2000), 200},
+                      {"20ms", std::chrono::microseconds(20000), 100}};
+  for (const Gap &G : Gaps) {
+    std::vector<double> Wait;
+    Wait.reserve(G.Samples);
+    for (size_t I = 0; I < G.Samples; ++I) {
+      // The client polls through the gap, as the end-to-end benchmark's
+      // generator does, so only the server's wake is measured.
+      auto Due = std::chrono::steady_clock::now() + G.Length;
+      while (std::chrono::steady_clock::now() < Due)
+        std::this_thread::yield();
+      std::atomic<bool> Done{false};
+      double Waited = 0;
+      Timer QT;
+      while (!Server->submitQuery([&, QT](auto &) {
+        Waited = QT.elapsed();
+        Done.store(true, std::memory_order_release);
+      }))
+        std::this_thread::yield();
+      while (!Done.load(std::memory_order_acquire))
+        std::this_thread::yield();
+      Wait.push_back(Waited);
+    }
+    std::string P = std::string("serve/handoff/gap_") + G.Name;
+    reportTime(P + "/wait_p50_s", percentile(Wait, 0.50));
+    reportTime(P + "/wait_p99_s", percentile(Wait, 0.99));
+  }
+
+  // Traffic just stopped: the poller spins out its window, then parks.
+  // The scheduler's idle helpers also use CPU, so the same silence with
+  // the server gone is subtracted.
+  double WithServer = idleCpuFrac(0.1);
+  Server.reset();
+  double Floor = idleCpuFrac(0.1);
+  reportValue("serve/handoff/idle_cpu_frac", std::max(0.0, WithServer - Floor),
+              "cores");
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -339,6 +424,7 @@ int main(int Argc, char **Argv) {
   benchServing<HybridShardedGraphStore>("hybrid", C);
   benchServing<ShardedGraphStore>("chunked", C);
   benchOverload(C);
+  benchHandoff(C);
 
   finishMetricTrail(CL, {{"bench", "serving"}});
   return 0;

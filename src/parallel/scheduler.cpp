@@ -138,14 +138,6 @@ struct alignas(64) WorkDeque {
   }
 };
 
-inline void cpuRelax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#else
-  std::this_thread::yield();
-#endif
-}
-
 class Scheduler {
 public:
   static constexpr int MaxContextsV = 512;
@@ -216,7 +208,7 @@ public:
 
   void waitFor(int Ctx, Job *J) {
     uint64_t Rng = 0x9e3779b97f4a7c15ULL * (Ctx + 1);
-    int Idle = 0;
+    unsigned Idle = 0;
     while (!J->Done.load(std::memory_order_acquire)) {
       if (Job *Other = findWork(Ctx, Rng)) {
         runJob(Other);
@@ -224,11 +216,7 @@ public:
         continue;
       }
       // Joins are latency-critical: spin with pauses, occasionally yield.
-      ++Idle;
-      if (Idle % 64 == 0)
-        std::this_thread::yield();
-      else
-        cpuRelax();
+      spinStep(++Idle, 64);
     }
   }
 
@@ -236,7 +224,7 @@ public:
     WorkerIdTL = Ctx;
     Deques[Ctx].Active.store(true, std::memory_order_release);
     uint64_t Rng = 0x243f6a8885a308d3ULL * (Ctx + 1);
-    int Idle = 0;
+    unsigned Idle = 0;
     while (!Shutdown.load(std::memory_order_acquire)) {
       if (Job *J = findWork(Ctx, Rng)) {
         runJob(J);
@@ -250,10 +238,7 @@ public:
       if (Idle < 2048) {
         cpuRelax();
       } else if (Idle < 16384) {
-        if (Idle % 8 == 0)
-          std::this_thread::yield();
-        else
-          cpuRelax();
+        spinStep(Idle, 8);
       } else {
         std::this_thread::sleep_for(std::chrono::microseconds(20));
       }

@@ -31,6 +31,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <thread>
 #include <type_traits>
 
 namespace aspen {
@@ -52,6 +53,26 @@ int maxContexts();
 /// alive but idle. Not meant to be toggled while parallel work is running.
 void setSequentialMode(bool Enabled);
 bool sequentialMode();
+
+/// A CPU-friendly pause for busy-wait loops (x86 PAUSE; a yield where the
+/// ISA has no such hint).
+inline void cpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#else
+  std::this_thread::yield();
+#endif
+}
+
+/// One step of a polling loop's back-off: a pause, and on every
+/// \p YieldEvery-th step a yield, so a thread sharing this CPU still runs
+/// while the poller waits. \p Step counts the poller's idle steps.
+inline void spinStep(unsigned Step, unsigned YieldEvery) {
+  if (Step % YieldEvery == 0)
+    std::this_thread::yield();
+  else
+    cpuRelax();
+}
 
 namespace detail {
 

@@ -8,17 +8,20 @@
 //     reads  -> SessionPool lease -> QueryContext (lazy snapshot pin)
 //     writes -> IngestFrontT (coalescing + pipelining into the store)
 //
-// Every query runs on a leased AlgoContext (allocation-free at steady
-// state) and pins at most one tree epoch (acquire) and one flat epoch
-// (acquireFlat) for its own lifetime — epoch-consistent reads while the
-// writer streams. Epoch lag — how many batches landed between a query's
-// admission and its execution — is tracked per query; bounded queues
-// keep it bounded under overload (shed, don't stall). When MaxReaderLag
-// is set, the writer path additionally throttles itself: a batch briefly
-// waits (bounded by ThrottleMaxWaitMs, so a busy pool can never deadlock
-// on itself) while the oldest still-queued read has already fallen
-// further behind than that — trading a little ingest latency for a hard
-// ceiling on how stale an admitted query can get.
+// Every worker leases one AlgoContext for its lifetime (allocation-free
+// at steady state), and every query runs on its worker's context and
+// pins at most one tree epoch (acquire) and one flat epoch (acquireFlat)
+// for its own lifetime — epoch-consistent reads while the writer
+// streams. Epoch lag — how many batches landed between a query's
+// admission and its dequeue, before it pins — is tracked per query;
+// bounded queues keep it bounded under overload (shed, don't stall).
+// When MaxReaderLag is set, the writer path additionally throttles
+// itself: a batch briefly waits (bounded by ThrottleMaxWaitMs, so a busy
+// pool can never deadlock on itself) while the oldest still-queued read
+// has already fallen further behind than that — trading a little ingest
+// latency for a hard ceiling on how stale an admitted query can get.
+// Without MaxReaderLag, a request takes no server-wide lock outside the
+// admission queue.
 //
 //===----------------------------------------------------------------------===//
 
@@ -124,7 +127,7 @@ public:
   ~SnapshotServerT() { stop(); }
 
   /// Admit a query; false = shed (read queue full). The query runs on a
-  /// worker with a leased context and may pin snapshots via its
+  /// worker, with that worker's context, and may pin snapshots via its
   /// QueryContext.
   bool submitQuery(Query Q) {
     Item It;
@@ -153,7 +156,7 @@ public:
   /// Block until every admitted request has completed.
   void drain() {
     std::unique_lock<std::mutex> L(DrainM);
-    DrainCV.wait(L, [&] { return InFlight == 0; });
+    DrainCV.wait(L, [&] { return InFlight.load() == 0; });
   }
 
   /// Stop admitting, drain admitted work, join the workers. Idempotent.
@@ -194,53 +197,59 @@ private:
 
   bool push(RequestClass C, Item It) {
     uint64_t Seq = It.SubmitSeq;
-    {
+    bool Watched = C == RequestClass::Read && O.MaxReaderLag;
+    InFlight.fetch_add(1); // optimistic: rolled back on shed
+    if (Watched) {
       std::lock_guard<std::mutex> L(DrainM);
-      ++InFlight; // optimistic: rolled back on shed
-      if (C == RequestClass::Read)
-        QueuedReads.insert(Seq);
+      QueuedReads.insert(Seq);
     }
     if (Queue.tryPush(C, std::move(It)))
       return true;
-    {
-      std::lock_guard<std::mutex> L(DrainM);
-      --InFlight;
-      if (C == RequestClass::Read)
+    if (Watched) {
+      {
+        std::lock_guard<std::mutex> L(DrainM);
         QueuedReads.erase(QueuedReads.find(Seq));
+      }
+      ThrottleCV.notify_all();
     }
-    DrainCV.notify_all();
-    ThrottleCV.notify_all();
+    finishOne();
     return false;
   }
 
+  /// Retire one admitted (or rolled-back) request; the last one out
+  /// wakes drain().
   void finishOne() {
-    {
-      std::lock_guard<std::mutex> L(DrainM);
-      --InFlight;
-    }
+    if (InFlight.fetch_sub(1) != 1)
+      return;
+    { std::lock_guard<std::mutex> L(DrainM); }
     DrainCV.notify_all();
   }
 
   void workerLoop() {
+    // Pool capacity equals the worker count, so this lease never waits.
+    SessionPool::Lease Lease = Pool.lease();
     while (auto Popped = Queue.pop()) {
       Item &It = Popped->second;
       if (Popped->first == RequestClass::Read) {
-        // This read is now executing (it pins a fresh epoch), so it no
+        // The lag counts the batches that landed while this read queued,
+        // not those that land while it runs.
+        uint64_t Lag = S.batchSeq() - It.SubmitSeq;
+        // This read now executes (it pins a fresh epoch), so it no
         // longer counts toward the queued-reader lag the writer path
         // throttles on.
-        {
-          std::lock_guard<std::mutex> L(DrainM);
-          QueuedReads.erase(QueuedReads.find(It.SubmitSeq));
+        if (O.MaxReaderLag) {
+          {
+            std::lock_guard<std::mutex> L(DrainM);
+            QueuedReads.erase(QueuedReads.find(It.SubmitSeq));
+          }
+          ThrottleCV.notify_all();
         }
-        ThrottleCV.notify_all();
         try {
-          SessionPool::Lease Lease = Pool.lease();
           QueryContext QC(S, Lease.ctx());
           It.Q(QC);
         } catch (...) {
           QueryErrors.fetch_add(1, std::memory_order_relaxed);
         }
-        uint64_t Lag = S.batchSeq() - It.SubmitSeq;
         EpochLagSum.fetch_add(Lag, std::memory_order_relaxed);
         uint64_t Prev = EpochLagMax.load(std::memory_order_relaxed);
         while (Lag > Prev && !EpochLagMax.compare_exchange_weak(
@@ -287,11 +296,11 @@ private:
   std::atomic<uint64_t> EpochLagSum{0}, EpochLagMax{0};
   std::atomic<uint64_t> WriteThrottleWaits{0};
 
-  std::mutex DrainM; ///< admitted-but-unfinished accounting + QueuedReads
+  std::atomic<uint64_t> InFlight{0}; ///< admitted, not yet finished
+  std::mutex DrainM; ///< guards QueuedReads; drain() waits under it
   std::condition_variable DrainCV;
-  uint64_t InFlight = 0;
-  /// SubmitSeqs of admitted-but-not-yet-executing reads; the writer
-  /// throttle watches the oldest (begin()).
+  /// SubmitSeqs of admitted-but-not-yet-executing reads, kept only when
+  /// MaxReaderLag is set; the writer throttle watches the oldest.
   std::multiset<uint64_t> QueuedReads;
   std::condition_variable ThrottleCV;
 };

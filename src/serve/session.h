@@ -1,9 +1,10 @@
 //===- serve/session.h - Pooled per-session AlgoContexts ------------------===//
 //
 // Multi-tenant sessions share a fixed pool of AlgoContext workspaces
-// (DESIGN.md Section 8). A query leases a context for its lifetime and
-// returns it on destruction; because contexts cache their workspace
-// blocks between runs, steady-state queries across many sessions are
+// (DESIGN.md Section 8). A lease holds a context until it is destroyed;
+// the snapshot server's workers each lease one for their lifetime, and
+// run every query on it. Because contexts cache their workspace blocks
+// between runs, steady-state queries across many sessions are
 // allocation-free — the pool's warm contexts stand in for per-session
 // workspaces without O(sessions) memory.
 //
@@ -84,7 +85,8 @@ public:
   };
 
   /// Lease a context, blocking until one is free. With pool capacity >=
-  /// the worker count (the server's sizing), this never blocks.
+  /// the number of holders (the server sizes it to its workers), this
+  /// never blocks.
   Lease lease() {
     std::unique_lock<std::mutex> L(M);
     if (Free.empty())

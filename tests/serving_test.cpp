@@ -10,7 +10,9 @@
 //    weighted-fair scheduling under saturation, work conservation.
 //  - SessionPool: lease/return, exhaustion, warm reuse.
 //  - SnapshotServerT: queries under concurrent ingest see consistent
-//    epochs, overload sheds instead of stalling, epoch lag is tracked.
+//    epochs, overload sheds instead of stalling, epoch lag is sampled at
+//    dequeue, no request is lost to the poll-then-park wake path, stop()
+//    and drain() stay exact while workers poll, park or shed.
 //  - acquireFlat() lock-free fast path: repeated hits on an unchanged
 //    epoch are counted and all readers see the same flat; a query that
 //    refreshes releases the superseded flat after its callback.
@@ -25,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <dirent.h>
 #include <future>
@@ -476,6 +479,194 @@ TEST(ServeServer, WriterThrottlesOnReaderLag) {
   EXPECT_EQ(St.QueryErrors, 0u);
   EXPECT_EQ(St.WriteErrors, 0u);
   EXPECT_EQ(Store.batchSeq(), Each);
+  Server.stop();
+}
+
+TEST(ServeServer, EpochLagIsSampledAtDequeue) {
+  const VertexId N = 256;
+  HybridShardedGraphStore Store(2, N);
+  SnapshotServer::Options O;
+  O.Workers = 2;
+  SnapshotServer Server(Store, O);
+
+  // The query is admitted and dequeued at batch sequence 0, then blocks
+  // while the other worker installs a batch: that install happens during
+  // its execution, not while it queued, so it adds no lag.
+  std::promise<void> Started, Gate;
+  std::shared_future<void> Open(Gate.get_future());
+  ASSERT_TRUE(Server.submitQuery([&Started, Open](auto &) {
+    Started.set_value();
+    Open.wait();
+  }));
+  Started.get_future().wait();
+  ASSERT_TRUE(Server.submitInsert(randomBatch(N, 16, 7)));
+  while (Store.batchSeq() == 0)
+    std::this_thread::yield();
+  Gate.set_value();
+  Server.drain();
+  auto St = Server.stats();
+  EXPECT_EQ(St.QueriesDone, 1u);
+  EXPECT_EQ(St.EpochLagSum, 0u);
+  EXPECT_EQ(St.EpochLagMax, 0u);
+  Server.stop();
+}
+
+namespace {
+
+/// Busy-wait (with yields) for \p Us microseconds: sleep_for overshoots
+/// gaps this short.
+void pauseFor(std::chrono::microseconds Us) {
+  auto End = std::chrono::steady_clock::now() + Us;
+  while (std::chrono::steady_clock::now() < End)
+    std::this_thread::yield();
+}
+
+} // namespace
+
+TEST(ServeServer, NoLostWakeupAcrossSpinWindow) {
+  using Queue = AdmissionQueueT<int>;
+  const std::chrono::microseconds Gaps[] = {
+      std::chrono::microseconds(0), Queue::SpinWindow / 2,
+      Queue::SpinWindow * 2, std::chrono::microseconds(5000)};
+  const VertexId N = 256;
+  for (size_t Producers = 1; Producers <= 4; ++Producers) {
+    HybridShardedGraphStore Store(2, N);
+    SnapshotServer::Options O;
+    O.Workers = 2;
+    SnapshotServer Server(Store, O);
+    const size_t Each = 24;
+    std::atomic<uint64_t> Reads{0}, Admitted{0};
+    std::vector<std::thread> Ts;
+    for (size_t P = 0; P < Producers; ++P)
+      Ts.emplace_back([&, P] {
+        uint64_t X = 0x9E3779B97F4A7C15ull * (P + 1) + Producers;
+        for (size_t I = 0; I < Each; ++I) {
+          X ^= X << 13;
+          X ^= X >> 7;
+          X ^= X << 17;
+          pauseFor(Gaps[X % 4]);
+          bool Ok = (X >> 8) % 3 == 0
+                        ? Server.submitInsert(randomBatch(N, 8, X))
+                        : Server.submitQuery([&](auto &) { ++Reads; });
+          if (Ok)
+            ++Admitted;
+        }
+      });
+    for (auto &T : Ts)
+      T.join();
+    // Every admitted request completes without another arrival to wake
+    // a worker for it.
+    auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    auto Done = [&] {
+      auto St = Server.stats();
+      return St.QueriesDone + St.WritesDone;
+    };
+    while (Done() < Admitted.load() &&
+           std::chrono::steady_clock::now() < Deadline)
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    ASSERT_EQ(Done(), Admitted.load()) << Producers << " producers";
+    EXPECT_EQ(Admitted.load(), Producers * Each);
+    Server.drain();
+    auto St = Server.stats();
+    EXPECT_EQ(St.QueriesDone, Reads.load());
+    EXPECT_EQ(St.QueryErrors + St.WriteErrors, 0u);
+    Server.stop();
+  }
+}
+
+TEST(ServeServer, StopWhilePollingAndParkedServesAdmitted) {
+  using Queue = AdmissionQueueT<int>;
+  const std::chrono::microseconds Delays[] = {
+      std::chrono::microseconds(0), Queue::SpinWindow / 2,
+      Queue::SpinWindow * 2};
+  const VertexId N = 256;
+  for (auto Delay : Delays) {
+    HybridShardedGraphStore Store(2, N);
+    SnapshotServer::Options O;
+    O.Workers = 2;
+    SnapshotServer Server(Store, O);
+    // After one served query, its worker polls and the other is parked.
+    std::atomic<int> Ran{0};
+    ASSERT_TRUE(Server.submitQuery([&](auto &) { ++Ran; }));
+    while (Ran.load() == 0)
+      std::this_thread::yield();
+    pauseFor(Delay);
+    const int More = 8;
+    for (int I = 0; I < More; ++I)
+      ASSERT_TRUE(Server.submitQuery([&](auto &) { ++Ran; }));
+    ASSERT_TRUE(Server.submitInsert(randomBatch(N, 8, 3)));
+    auto T0 = std::chrono::steady_clock::now();
+    Server.stop();
+    auto Took = std::chrono::steady_clock::now() - T0;
+    EXPECT_LT(Took, std::chrono::seconds(2)) << Delay.count() << " us";
+    EXPECT_EQ(Ran.load(), 1 + More) << Delay.count() << " us";
+    EXPECT_EQ(Server.stats().WritesDone, 1u);
+    EXPECT_EQ(Store.batchSeq(), 1u);
+    // Stopped: nothing more is admitted.
+    EXPECT_FALSE(Server.submitQuery([](auto &) {}));
+  }
+  // An idle queue's poppers (one polling, one parked) return at once.
+  Queue Q;
+  std::vector<std::thread> Poppers;
+  for (int I = 0; I < 2; ++I)
+    Poppers.emplace_back([&] { EXPECT_FALSE(Q.pop().has_value()); });
+  pauseFor(Queue::SpinWindow / 4);
+  Q.stop();
+  for (auto &T : Poppers)
+    T.join();
+}
+
+TEST(ServeServer, DrainIsExactWhileRequestsShed) {
+  const VertexId N = 256;
+  HybridShardedGraphStore Store(2, N);
+  SnapshotServer::Options O;
+  O.Workers = 1;
+  O.ReadQueueCap = 2;
+  O.WriteQueueCap = 1;
+  SnapshotServer Server(Store, O);
+
+  std::atomic<uint64_t> Admitted{0}, Shed{0};
+  std::atomic<bool> Producing{true}, Draining{false};
+  std::vector<std::thread> Ts;
+  for (int P = 0; P < 3; ++P)
+    Ts.emplace_back([&, P] {
+      while (!Draining.load())
+        std::this_thread::yield();
+      auto End = std::chrono::steady_clock::now() +
+                 std::chrono::milliseconds(100);
+      for (int I = 0; std::chrono::steady_clock::now() < End; ++I) {
+        bool Ok = P == 0 && I % 8 == 0
+                      ? Server.submitInsert(randomBatch(N, 4, I))
+                      : Server.submitQuery([](auto &) {
+                          pauseFor(std::chrono::microseconds(50));
+                        });
+        ++(Ok ? Admitted : Shed);
+      }
+    });
+  // Each drain() returns only once every request admitted before it
+  // began has finished, even while rolled-back sheds move the count.
+  uint64_t Drains = 0, Early = 0;
+  std::thread Drainer([&] {
+    Draining.store(true);
+    do {
+      uint64_t Before = Admitted.load();
+      Server.drain();
+      auto St = Server.stats();
+      Early += St.QueriesDone + St.WritesDone < Before;
+      ++Drains;
+    } while (Producing.load());
+  });
+  for (auto &T : Ts)
+    T.join();
+  Producing.store(false);
+  Drainer.join();
+  Server.drain();
+  auto St = Server.stats();
+  EXPECT_GT(Shed.load(), 0u);
+  EXPECT_GT(Drains, 0u);
+  EXPECT_EQ(Early, 0u);
+  EXPECT_EQ(St.QueriesDone + St.WritesDone, Admitted.load());
+  EXPECT_EQ(St.Admission.ShedReads + St.Admission.ShedWrites, Shed.load());
   Server.stop();
 }
 
