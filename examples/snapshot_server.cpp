@@ -5,8 +5,9 @@
 // queries, and a writer streaming update batches — all through the
 // admission queue. Demonstrates:
 //
-//   - queries running on pooled AlgoContexts with per-query snapshot
-//     pins (each sees one consistent epoch, reused allocation-free),
+//   - queries running on their worker's own AlgoContext with per-query
+//     snapshot pins (each sees one consistent epoch; the context is
+//     reused allocation-free),
 //   - writer batches coalescing in the ingest front,
 //   - load shedding: offered load beyond the queue bound is rejected
 //     up front instead of growing an unbounded backlog,
@@ -65,7 +66,7 @@ int main(int Argc, char **Argv) {
 
   // Tenants: each runs its queries through the shared worker pool. A
   // query pins one flat epoch (lock-free when the cache is current) and
-  // runs BFS from a tenant-specific source on the leased context.
+  // runs BFS from a tenant-specific source on its worker's context.
   std::vector<std::atomic<uint64_t>> Reached(Tenants);
   std::vector<std::thread> Ts;
   for (size_t T = 0; T < Tenants; ++T)
@@ -110,14 +111,13 @@ int main(int Argc, char **Argv) {
                                               St.Admission.ShedWrites),
               static_cast<unsigned long long>(St.Admission.ShedWrites));
   std::printf("ingest front: %llu batches in %llu installs (max group "
-              "%llu); epoch lag mean %.2f max %llu; session waits %llu\n",
+              "%llu); epoch lag mean %.2f max %llu\n",
               static_cast<unsigned long long>(St.Front.Submitted),
               static_cast<unsigned long long>(St.Front.Installs),
               static_cast<unsigned long long>(St.Front.MaxGroup),
               St.QueriesDone ? double(St.EpochLagSum) / double(St.QueriesDone)
                              : 0.0,
-              static_cast<unsigned long long>(St.EpochLagMax),
-              static_cast<unsigned long long>(St.SessionWaits));
+              static_cast<unsigned long long>(St.EpochLagMax));
   std::printf("final epoch: %llu batches, %llu edges\n",
               static_cast<unsigned long long>(Store.batchSeq()),
               static_cast<unsigned long long>(

@@ -22,13 +22,12 @@
 //
 // Memory bounds: by design the caches keep their largest-ever blocks
 // (that is the steady-state zero-alloc contract), so a context that once
-// ran a hub-sized query would retain O(m) blocks until clear(). An
-// optional retain limit (setRetainLimit) bounds that: requests larger
-// than the limit are served from transient heap (freed on release, never
-// cached anywhere — the generalization of two_hop's outlier guard), and
-// blocks the limit cannot cover are freed instead of pinned. Transient
-// blocks are identified by a zero capacity (real blocks always have
-// Cap >= 4096 from the scratch rounding).
+// ran a hub-sized query would retain O(m) blocks until clear(). A caller
+// that may see an outlier request size bounds that request
+// (BoundedCtxArray, two_hop's guard): requests above the bound are served
+// from transient heap, freed on release and never cached anywhere.
+// Transient blocks are identified by a zero capacity (real blocks always
+// have Cap >= 4096 from the scratch rounding).
 //
 //===----------------------------------------------------------------------===//
 
@@ -52,65 +51,30 @@ inline constexpr size_t TransientCap = 0;
 class AlgoContext {
 public:
   AlgoContext() = default;
-  /// Context with a retain limit (see setRetainLimit).
-  explicit AlgoContext(size_t RetainLimitBytes)
-      : RetainLimit(RetainLimitBytes) {}
   ~AlgoContext() { clear(); }
 
   AlgoContext(const AlgoContext &) = delete;
   AlgoContext &operator=(const AlgoContext &) = delete;
 
-  /// Bound the bytes this context may retain (0 = unlimited, the
-  /// default). Acquires larger than the limit fall back to transient
-  /// heap instead of pinning outlier blocks in any cache, and the cached
-  /// total decays below the limit as blocks come back.
-  void setRetainLimit(size_t Bytes) {
-    RetainLimit = Bytes;
-    enforceLimit();
-  }
-  size_t retainLimit() const { return RetainLimit; }
-
   /// Borrow a block of at least \p MinBytes; \p CapOut receives the actual
   /// capacity, which must be passed back to release(). Served from this
   /// context's cache when possible, otherwise from the per-worker scratch
-  /// cache (counted as a miss). Oversize requests on a limited context
-  /// come from transient heap (CapOut == TransientCap).
+  /// cache (counted as a miss).
   void *acquire(size_t MinBytes, size_t &CapOut) {
-    if (RetainLimit && MinBytes > RetainLimit) {
-      ++Transients;
-      CapOut = TransientCap;
-      return std::malloc(MinBytes);
-    }
-    if (void *P = Cache.tryAcquire(MinBytes, CapOut)) {
-      CachedBytesV -= CapOut;
+    if (void *P = Cache.tryAcquire(MinBytes, CapOut))
       return P;
-    }
     ++Misses;
     return scratchAcquire(MinBytes, CapOut);
   }
 
   /// Return a block previously obtained from acquire(); a block the full
-  /// cache cannot keep spills to the per-worker scratch cache (or, on a
-  /// limited context, is freed rather than pinned elsewhere).
+  /// cache cannot keep spills to the per-worker scratch cache.
   void release(void *P, size_t Cap) {
     if (!P)
       return;
-    if (Cap == TransientCap) {
-      std::free(P);
-      return;
-    }
-    if (RetainLimit && Cap > RetainLimit) {
-      std::free(P);
-      return;
-    }
     size_t LoserCap;
-    void *Loser = Cache.insert(P, Cap, LoserCap);
-    CachedBytesV += Cap;
-    if (Loser) {
-      CachedBytesV -= LoserCap;
-      dispose(Loser, LoserCap);
-    }
-    enforceLimit();
+    if (void *Loser = Cache.insert(P, Cap, LoserCap))
+      scratchRelease(Loser, LoserCap);
   }
 
   /// Return every cached block to the per-worker scratch cache.
@@ -118,7 +82,6 @@ public:
     size_t Cap;
     while (void *P = Cache.pop(Cap))
       scratchRelease(P, Cap);
-    CachedBytesV = 0;
   }
 
   /// Cumulative cache misses (acquires not served from this context).
@@ -126,49 +89,15 @@ public:
   /// assert a zero delta.
   uint64_t missCount() const { return Misses; }
 
-  /// Cumulative transient-heap acquires (requests above the retain
-  /// limit).
-  uint64_t transientCount() const { return Transients; }
-
   /// Blocks currently cached (idle) in this context.
   int cachedBlocks() const { return Cache.size(); }
 
-  /// Bytes currently cached (idle) in this context; never exceeds the
-  /// retain limit when one is set.
-  size_t cachedBytes() const { return CachedBytesV; }
-
 private:
-  /// Blocks a limited context cannot keep are freed, not spilled: the
-  /// per-worker scratch caches would pin them for the process lifetime,
-  /// which is exactly what the limit exists to prevent.
-  void dispose(void *P, size_t Cap) {
-    if (RetainLimit)
-      std::free(P);
-    else
-      scratchRelease(P, Cap);
-  }
-
-  void enforceLimit() {
-    if (!RetainLimit)
-      return;
-    size_t Cap;
-    while (CachedBytesV > RetainLimit) {
-      void *P = Cache.pop(Cap);
-      if (!P)
-        break;
-      CachedBytesV -= Cap;
-      std::free(P);
-    }
-  }
-
   // Enough slots for the most array-hungry algorithm (BC holds ~12 blocks
   // live plus edgeMap temporaries); caching them all between runs is what
   // makes the second run allocation-free.
   detail::BlockCache<32> Cache;
   uint64_t Misses = 0;
-  uint64_t Transients = 0;
-  size_t RetainLimit = 0;
-  size_t CachedBytesV = 0;
 };
 
 /// Acquire through \p Ctx when present, else straight from the per-worker
@@ -182,17 +111,17 @@ inline void *ctxAcquire(AlgoContext *Ctx, size_t MinBytes, size_t &CapOut) {
 inline void ctxRelease(AlgoContext *Ctx, void *P, size_t Cap) {
   if (!P)
     return;
-  if (Ctx)
-    Ctx->release(P, Cap);
-  else if (Cap == TransientCap)
+  if (Cap == TransientCap)
     std::free(P);
+  else if (Ctx)
+    Ctx->release(P, Cap);
   else
     scratchRelease(P, Cap);
 }
 
 /// Acquire with a per-request byte bound: requests above \p BoundBytes
-/// come from transient heap (CapOut == TransientCap) regardless of the
-/// context's own limit, so one-off outliers never enter any cache.
+/// come from transient heap (CapOut == TransientCap), so one-off outliers
+/// never enter any cache.
 inline void *ctxAcquireBounded(AlgoContext *Ctx, size_t MinBytes,
                                size_t BoundBytes, size_t &CapOut) {
   if (MinBytes > BoundBytes) {
@@ -241,8 +170,7 @@ private:
 /// workspace entirely and live on transient heap until destruction, so a
 /// single hub-sized query cannot pin an O(m) block in the context or the
 /// per-worker caches. This is the reusable form of two_hop's original
-/// outlier guard; the context-level retain limit applies on top for
-/// contexts that opt in.
+/// outlier guard.
 template <class T> class BoundedCtxArray {
 public:
   BoundedCtxArray(AlgoContext *Ctx, size_t N, size_t BoundBytes)

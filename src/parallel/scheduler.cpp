@@ -3,7 +3,9 @@
 #include "parallel/scheduler.h"
 
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -46,7 +48,6 @@ struct alignas(64) WorkDeque {
 
   std::atomic<uint64_t> Top{0};    ///< next index thieves take from
   std::atomic<uint64_t> Bottom{0}; ///< next index the owner pushes to
-  std::atomic<bool> Active{false};
   std::atomic<Job *> Slots[Cap];
 
   /// Owner only. Returns false when the ring is full.
@@ -143,13 +144,7 @@ public:
   static constexpr int MaxContextsV = 512;
 
   Scheduler() {
-    int P = 0;
-    if (const char *Env = std::getenv("ASPEN_WORKERS"))
-      P = std::atoi(Env);
-    if (P <= 0)
-      P = static_cast<int>(std::thread::hardware_concurrency());
-    if (P <= 0)
-      P = 1;
+    int P = workerCountFromEnv(std::getenv("ASPEN_WORKERS"));
     Workers = P;
     Deques = new WorkDeque[MaxContextsV];
     // Context ids [1, P) are reserved for the helper threads below;
@@ -167,11 +162,30 @@ public:
     delete[] Deques;
   }
 
-  int registerContext() {
-    int Id = NextContext.fetch_add(1, std::memory_order_relaxed);
-    assert(Id < MaxContextsV && "too many threads registered with scheduler");
-    Deques[Id].Active.store(true, std::memory_order_release);
+  /// Hand the calling application thread a context id: the most recently
+  /// freed one (whose pool free lists and scratch cache it inherits), else
+  /// a never-used one. The mutex orders the previous owner's last use of
+  /// the id's per-context state before the new owner's first.
+  static int registerContext() {
+    std::lock_guard<std::mutex> L(IdM);
+    if (NumFree)
+      return FreeIds[--NumFree];
+    int Id = NextContext.load(std::memory_order_relaxed);
+    if (Id >= MaxContextsV) {
+      std::fprintf(stderr, "aspen: more than %d threads use the scheduler "
+                           "at once; context ids exhausted\n",
+                   MaxContextsV);
+      std::abort();
+    }
+    NextContext.store(Id + 1, std::memory_order_release);
     return Id;
+  }
+
+  /// Return an exited thread's id for reuse. Its deque is empty: every
+  /// job the thread forked was joined before it exited.
+  static void releaseContext(int Id) {
+    std::lock_guard<std::mutex> L(IdM);
+    FreeIds[NumFree++] = Id;
   }
 
   bool push(int Ctx, Job *J) { return Deques[Ctx].push(J); }
@@ -193,7 +207,7 @@ public:
       if (Victim == Ctx)
         continue;
       WorkDeque &D = Deques[Victim];
-      if (!D.Active.load(std::memory_order_relaxed) || D.looksEmpty())
+      if (D.looksEmpty())
         continue;
       if (Job *J = D.steal())
         return J;
@@ -222,7 +236,6 @@ public:
 
   void workerLoop(int Ctx) {
     WorkerIdTL = Ctx;
-    Deques[Ctx].Active.store(true, std::memory_order_release);
     uint64_t Rng = 0x243f6a8885a308d3ULL * (Ctx + 1);
     unsigned Idle = 0;
     while (!Shutdown.load(std::memory_order_acquire)) {
@@ -248,20 +261,44 @@ public:
   int workers() const { return Workers; }
 
   static thread_local int WorkerIdTL;
+  /// Set once the thread's id went back to the free list (thread exit).
+  static thread_local bool IdReleasedTL;
+
+  // Id hand-out. Static and trivially destructible: a thread may still
+  // free pool memory, and so need an id, while statics (this scheduler
+  // included) are destroyed at exit.
+  static std::atomic<int> NextContext; ///< one past the highest id used
+  static std::mutex IdM;               ///< guards FreeIds/NumFree
+  static int FreeIds[MaxContextsV];    ///< ids of exited threads (LIFO)
+  static int NumFree;
 
   std::atomic<bool> Shutdown{false};
-  std::atomic<int> NextContext{0};
   WorkDeque *Deques = nullptr;
   std::vector<std::thread> Threads;
   int Workers = 1;
 };
 
 thread_local int Scheduler::WorkerIdTL = -1;
+thread_local bool Scheduler::IdReleasedTL = false;
+std::atomic<int> Scheduler::NextContext{0};
+std::mutex Scheduler::IdM;
+int Scheduler::FreeIds[Scheduler::MaxContextsV];
+int Scheduler::NumFree = 0;
 
 Scheduler &scheduler() {
   static Scheduler S;
   return S;
 }
+
+/// Gives an application thread's context id back when the thread exits,
+/// so ids stay below maxContexts() however many threads come and go.
+struct ContextIdRelease {
+  ~ContextIdRelease() {
+    Scheduler::releaseContext(Scheduler::WorkerIdTL);
+    Scheduler::WorkerIdTL = -1;
+    Scheduler::IdReleasedTL = true;
+  }
+};
 
 std::atomic<bool> SequentialModeFlag{false};
 
@@ -280,9 +317,34 @@ int aspen::numWorkers() { return scheduler().workers(); }
 int aspen::maxContexts() { return Scheduler::MaxContextsV; }
 
 int aspen::workerId() {
-  if (Scheduler::WorkerIdTL < 0)
-    Scheduler::WorkerIdTL = scheduler().registerContext();
+  if (Scheduler::WorkerIdTL < 0) {
+    // Application ids start above the helpers', so the pool must exist
+    // first; it is never re-entered once destroyed.
+    static const bool Started = (scheduler(), true);
+    (void)Started;
+    Scheduler::WorkerIdTL = Scheduler::registerContext();
+    // After its release ran (a static destroyed at exit, a late
+    // thread_local), a thread keeps the id it takes here.
+    if (!Scheduler::IdReleasedTL) {
+      thread_local ContextIdRelease Release;
+      (void)Release;
+    }
+  }
   return Scheduler::WorkerIdTL;
+}
+
+int aspen::detail::workerCountFromEnv(const char *Env) {
+  long P = 0;
+  if (Env) {
+    char *End = nullptr;
+    P = std::strtol(Env, &End, 10);
+    if (End == Env || *End != '\0')
+      P = 0; // not a number: treat as unset
+  }
+  if (P <= 0)
+    P = static_cast<long>(std::thread::hardware_concurrency());
+  long Max = maxContexts() / 2;
+  return static_cast<int>(P < 1 ? 1 : P > Max ? Max : P);
 }
 
 bool aspen::detail::parallelismEnabled() {

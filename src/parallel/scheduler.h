@@ -41,7 +41,9 @@ namespace aspen {
 int numWorkers();
 
 /// Identifier of the calling thread's context in [0, maxContexts());
-/// registers the thread on first call.
+/// registers the thread on first call. An application thread's id is
+/// recycled when the thread exits; more than maxContexts() live threads
+/// abort the process.
 int workerId();
 
 /// Upper bound on context ids ever returned by workerId(); use for sizing
@@ -98,6 +100,11 @@ void waitForJob(Job *J);
 
 /// True when the pool has more than one worker.
 bool parallelismEnabled();
+
+/// Pool size for an ASPEN_WORKERS value \p Env (null when unset): a
+/// positive integer, else the hardware concurrency, clamped to
+/// [1, maxContexts() / 2] so application threads keep half the ids.
+int workerCountFromEnv(const char *Env);
 
 } // namespace detail
 

@@ -58,8 +58,11 @@ public:
     uint64_t MaxGroup = 0;  ///< largest group drained
   };
 
-  explicit IngestFrontT(Store &S, size_t MaxCoalesce = 32)
-      : S(S), MaxCoalesce(MaxCoalesce ? MaxCoalesce : 1) {}
+  /// Most batches one group drains (and the store installs as one
+  /// epoch); bounds a group's prepare footprint and commit latency.
+  static constexpr size_t MaxCoalesce = 32;
+
+  explicit IngestFrontT(Store &S) : S(S) {}
 
   IngestFrontT(const IngestFrontT &) = delete;
   IngestFrontT &operator=(const IngestFrontT &) = delete;
@@ -192,7 +195,6 @@ private:
   }
 
   Store &S;
-  size_t MaxCoalesce;
 
   mutable std::mutex M; ///< queue, preparer flag, stats, acknowledgements
   std::condition_variable CV;

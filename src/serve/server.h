@@ -5,39 +5,31 @@
 // with coalesced, pipelined ingest.
 //
 //   requests -> AdmissionQueueT (bounded, weighted-fair, load-shedding)
-//     reads  -> SessionPool lease -> QueryContext (lazy snapshot pin)
+//     reads  -> the worker's own AlgoContext -> QueryContext (lazy pins)
 //     writes -> IngestFrontT (coalescing + pipelining into the store)
 //
-// Every worker leases one AlgoContext for its lifetime (allocation-free
+// Every worker owns one AlgoContext for its lifetime (allocation-free
 // at steady state), and every query runs on its worker's context and
 // pins at most one tree epoch (acquire) and one flat epoch (acquireFlat)
 // for its own lifetime — epoch-consistent reads while the writer
 // streams. Epoch lag — how many batches landed between a query's
 // admission and its dequeue, before it pins — is tracked per query;
 // bounded queues keep it bounded under overload (shed, don't stall).
-// When MaxReaderLag is set, the writer path additionally throttles
-// itself: a batch briefly waits (bounded by ThrottleMaxWaitMs, so a busy
-// pool can never deadlock on itself) while the oldest still-queued read
-// has already fallen further behind than that — trading a little ingest
-// latency for a hard ceiling on how stale an admitted query can get.
-// Without MaxReaderLag, a request takes no server-wide lock outside the
-// admission queue.
+// A request takes no server-wide lock outside the admission queue.
 //
 //===----------------------------------------------------------------------===//
 
 #ifndef ASPEN_SERVE_SERVER_H
 #define ASPEN_SERVE_SERVER_H
 
+#include "memory/algo_context.h"
 #include "serve/admission.h"
 #include "serve/ingest_front.h"
-#include "serve/session.h"
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <functional>
 #include <mutex>
-#include <set>
 #include <thread>
 
 namespace aspen {
@@ -46,24 +38,12 @@ namespace aspen {
 template <class Store> class SnapshotServerT {
 public:
   struct Options {
-    size_t Workers = 4;           ///< worker threads (= pooled contexts)
-    size_t ReadQueueCap = 1024;   ///< queued queries before shedding
-    size_t WriteQueueCap = 64;    ///< queued batches before shedding
-    unsigned ReadsPerWrite = 8;   ///< fairness ratio under saturation
-    size_t MaxCoalesce = 32;      ///< ingest-front group bound
-    size_t CtxRetainBytes = 0;    ///< per-context retain limit (0 = off)
-
-    /// Throttle a write while the oldest still-queued read already lags
-    /// the store by more than this many batches (0 = no throttling).
-    uint64_t MaxReaderLag = 0;
-    /// Upper bound on one batch's throttle wait. Keeps the writer
-    /// live when the read backlog is not draining (e.g. every worker
-    /// is the one holding the write) — throttling is back-pressure,
-    /// never a lock.
-    unsigned ThrottleMaxWaitMs = 5;
+    size_t Workers = 4;         ///< worker threads (each owns a context)
+    size_t ReadQueueCap = 1024; ///< queued queries before shedding
+    size_t WriteQueueCap = 64;  ///< queued batches before shedding
   };
 
-  /// Per-query execution context: the leased workspace plus lazily
+  /// Per-query execution context: the worker's workspace plus lazily
   /// pinned snapshots. Pins live exactly as long as the query runs.
   class QueryContext {
   public:
@@ -106,19 +86,16 @@ public:
     uint64_t WriteErrors = 0;
     uint64_t EpochLagSum = 0; ///< batches landed while queries queued
     uint64_t EpochLagMax = 0;
-    uint64_t WriteThrottleWaits = 0; ///< writes delayed by MaxReaderLag
     AdmissionStats Admission;                  ///< shed/admit counts
     typename IngestFrontT<Store>::Stats Front; ///< coalescing stats
-    uint64_t SessionWaits = 0;
+    uint64_t SessionWaits = 0; ///< always 0: no query waits for a context
   };
 
   SnapshotServerT(Store &S, Options O = {})
-      : S(S), O(O), Front(S, O.MaxCoalesce),
-        Pool(O.Workers ? O.Workers : 1, O.CtxRetainBytes),
-        Queue({O.ReadQueueCap, O.WriteQueueCap, O.ReadsPerWrite}) {
-    Threads.reserve(this->O.Workers ? this->O.Workers : 1);
-    for (size_t I = 0, N = this->O.Workers ? this->O.Workers : 1; I < N;
-         ++I)
+      : S(S), Front(S), Queue({O.ReadQueueCap, O.WriteQueueCap}) {
+    size_t N = O.Workers ? O.Workers : 1;
+    Threads.reserve(N);
+    for (size_t I = 0; I < N; ++I)
       Threads.emplace_back([this] { workerLoop(); });
   }
 
@@ -176,11 +153,8 @@ public:
     R.WriteErrors = WriteErrors.load(std::memory_order_relaxed);
     R.EpochLagSum = EpochLagSum.load(std::memory_order_relaxed);
     R.EpochLagMax = EpochLagMax.load(std::memory_order_relaxed);
-    R.WriteThrottleWaits =
-        WriteThrottleWaits.load(std::memory_order_relaxed);
     R.Admission = Queue.stats();
     R.Front = Front.stats();
-    R.SessionWaits = Pool.waitCount();
     return R;
   }
 
@@ -196,22 +170,9 @@ private:
   };
 
   bool push(RequestClass C, Item It) {
-    uint64_t Seq = It.SubmitSeq;
-    bool Watched = C == RequestClass::Read && O.MaxReaderLag;
     InFlight.fetch_add(1); // optimistic: rolled back on shed
-    if (Watched) {
-      std::lock_guard<std::mutex> L(DrainM);
-      QueuedReads.insert(Seq);
-    }
     if (Queue.tryPush(C, std::move(It)))
       return true;
-    if (Watched) {
-      {
-        std::lock_guard<std::mutex> L(DrainM);
-        QueuedReads.erase(QueuedReads.find(Seq));
-      }
-      ThrottleCV.notify_all();
-    }
     finishOne();
     return false;
   }
@@ -226,26 +187,15 @@ private:
   }
 
   void workerLoop() {
-    // Pool capacity equals the worker count, so this lease never waits.
-    SessionPool::Lease Lease = Pool.lease();
+    AlgoContext Ctx;
     while (auto Popped = Queue.pop()) {
       Item &It = Popped->second;
       if (Popped->first == RequestClass::Read) {
         // The lag counts the batches that landed while this read queued,
         // not those that land while it runs.
         uint64_t Lag = S.batchSeq() - It.SubmitSeq;
-        // This read now executes (it pins a fresh epoch), so it no
-        // longer counts toward the queued-reader lag the writer path
-        // throttles on.
-        if (O.MaxReaderLag) {
-          {
-            std::lock_guard<std::mutex> L(DrainM);
-            QueuedReads.erase(QueuedReads.find(It.SubmitSeq));
-          }
-          ThrottleCV.notify_all();
-        }
         try {
-          QueryContext QC(S, Lease.ctx());
+          QueryContext QC(S, Ctx);
           It.Q(QC);
         } catch (...) {
           QueryErrors.fetch_add(1, std::memory_order_relaxed);
@@ -257,19 +207,6 @@ private:
           ;
         QueriesDone.fetch_add(1, std::memory_order_relaxed);
       } else {
-        if (O.MaxReaderLag) {
-          std::unique_lock<std::mutex> L(DrainM);
-          auto LagTooBig = [&] {
-            return !QueuedReads.empty() &&
-                   S.batchSeq() - *QueuedReads.begin() > O.MaxReaderLag;
-          };
-          if (LagTooBig()) {
-            WriteThrottleWaits.fetch_add(1, std::memory_order_relaxed);
-            ThrottleCV.wait_for(
-                L, std::chrono::milliseconds(O.ThrottleMaxWaitMs),
-                [&] { return !LagTooBig(); });
-          }
-        }
         try {
           if (It.Insert)
             Front.insertBatch(It.Edges);
@@ -285,24 +222,17 @@ private:
   }
 
   Store &S;
-  Options O;
   IngestFrontT<Store> Front;
-  SessionPool Pool;
   AdmissionQueueT<Item> Queue;
   std::vector<std::thread> Threads;
 
   std::atomic<uint64_t> QueriesDone{0}, WritesDone{0};
   std::atomic<uint64_t> QueryErrors{0}, WriteErrors{0};
   std::atomic<uint64_t> EpochLagSum{0}, EpochLagMax{0};
-  std::atomic<uint64_t> WriteThrottleWaits{0};
 
   std::atomic<uint64_t> InFlight{0}; ///< admitted, not yet finished
-  std::mutex DrainM; ///< guards QueuedReads; drain() waits under it
+  std::mutex DrainM; ///< drain() waits under it
   std::condition_variable DrainCV;
-  /// SubmitSeqs of admitted-but-not-yet-executing reads, kept only when
-  /// MaxReaderLag is set; the writer throttle watches the oldest.
-  std::multiset<uint64_t> QueuedReads;
-  std::condition_variable ThrottleCV;
 };
 
 /// Default serving configuration: degree-adaptive hybrid shards (the

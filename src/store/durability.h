@@ -86,12 +86,6 @@ struct DurabilityOptions {
   /// (0 = only when the caller asks via checkpointNow()).
   uint64_t CheckpointEveryBatches = 0;
 
-  /// After recovering from a checkpoint, build the hot flat cache from
-  /// the checkpoint state before replaying the WAL, so the first
-  /// acquireFlat() after recovery takes the O(touched) refresh path
-  /// instead of a full rebuild (the replayed batches record digests).
-  bool PrimeFlatOnRecover = true;
-
   /// Checkpoint files retained as fallbacks beyond the newest.
   size_t KeepCheckpoints = 2;
 

@@ -711,8 +711,7 @@ private:
       // (the cache is cold, so this is acquireFlat's rebuild) *before*
       // replay, so the first post-recovery acquireFlat() takes the
       // O(touched) refresh path over the replayed batches' digests.
-      if (Durable->options().PrimeFlatOnRecover)
-        acquireFlat();
+      acquireFlat();
     }
     // Replay the WAL suffix through the normal pipeline, one epoch per
     // logged batch (Recovering gates the WAL re-append); the digests it

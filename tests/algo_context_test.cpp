@@ -163,67 +163,9 @@ TEST(AlgoContext, TwoContextsOnTwoThreadsMatchSingleThreaded) {
 }
 
 //===----------------------------------------------------------------------===
-// Retain limit: capped contexts fall back to transient heap for outlier
-// requests and never pin more than the limit (the generalization of
-// two_hop's outlier guard to every acquire path).
+// Outlier guard: a per-request bound serves oversize requests from
+// transient heap, so they never pin a block in any cache.
 //===----------------------------------------------------------------------===
-
-TEST(AlgoContext, RetainLimitServesOversizeFromTransientHeap) {
-  AlgoContext Ctx(1 << 20); // 1MB limit
-  uint64_t Scratch0 = scratchAllocEvents();
-  size_t Cap;
-  // An O(m)-sized request (8MB) must not touch the context cache or the
-  // per-worker scratch caches.
-  void *P = Ctx.acquire(8u << 20, Cap);
-  ASSERT_NE(P, nullptr);
-  EXPECT_EQ(Cap, TransientCap);
-  EXPECT_EQ(Ctx.transientCount(), 1u);
-  EXPECT_EQ(Ctx.missCount(), 0u);
-  EXPECT_EQ(scratchAllocEvents(), Scratch0);
-  std::memset(P, 0xAB, 8u << 20); // must be writable end to end
-  Ctx.release(P, Cap);
-  // Nothing was retained anywhere.
-  EXPECT_EQ(Ctx.cachedBlocks(), 0);
-  EXPECT_EQ(Ctx.cachedBytes(), 0u);
-  EXPECT_EQ(scratchAllocEvents(), Scratch0);
-}
-
-TEST(AlgoContext, RetainLimitBoundsCachedBytes) {
-  AlgoContext Ctx;
-  Ctx.setRetainLimit(64 << 10);
-  // Many small acquires within the limit cycle through the cache...
-  for (int I = 0; I < 10; ++I) {
-    size_t Cap;
-    void *P = Ctx.acquire(4096, Cap);
-    ASSERT_NE(P, nullptr);
-    EXPECT_NE(Cap, TransientCap);
-    Ctx.release(P, Cap);
-  }
-  EXPECT_LE(Ctx.cachedBytes(), Ctx.retainLimit());
-  // ...and releasing more than the limit decays the cache below it.
-  size_t Caps[8];
-  void *Ps[8];
-  for (int I = 0; I < 8; ++I)
-    Ps[I] = Ctx.acquire(16 << 10, Caps[I]);
-  for (int I = 0; I < 8; ++I)
-    Ctx.release(Ps[I], Caps[I]);
-  EXPECT_LE(Ctx.cachedBytes(), Ctx.retainLimit());
-  // Tightening the limit evicts immediately.
-  Ctx.setRetainLimit(4096);
-  EXPECT_LE(Ctx.cachedBytes(), size_t(4096));
-}
-
-TEST(AlgoContext, CappedContextRunsAlgorithmsCorrectly) {
-  const VertexId N = 1 << 9;
-  Graph G = Graph::fromEdges(N, rmatGraphEdges(9, 6, 7));
-  TreeGraphView TV(G);
-  AlgoContext Free, Capped(1 << 10); // far below the arrays BFS needs
-  auto Reference = bfsDistances(TV, 3, Free);
-  auto UnderCap = bfsDistances(TV, 3, Capped);
-  EXPECT_EQ(Reference, UnderCap);
-  EXPECT_GT(Capped.transientCount(), 0u); // fell back, didn't break
-  EXPECT_LE(Capped.cachedBytes(), Capped.retainLimit());
-}
 
 TEST(AlgoContext, BoundedCtxArrayOutlierGuard) {
   AlgoContext Ctx;

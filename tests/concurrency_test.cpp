@@ -526,7 +526,7 @@ TEST(Concurrency, ChaseLevNestedParallelFor) {
 
 TEST(Concurrency, ServingSessionsVersusIngestStress) {
   // The full serving stack under TSan: external tenants flood the
-  // admission queue with queries (leased sessions, pinned tree + flat
+  // admission queue with queries (worker-owned contexts, pinned tree + flat
   // epochs, lock-free acquireFlat fast path) while others stream write
   // batches through the coalescing ingest front. Every pinned epoch must
   // stay self-consistent; shedding is the only allowed failure mode.
@@ -537,7 +537,6 @@ TEST(Concurrency, ServingSessionsVersusIngestStress) {
   O.Workers = 3;
   O.ReadQueueCap = 256;
   O.WriteQueueCap = 32;
-  O.ReadsPerWrite = 4;
   SnapshotServer Server(Store, O);
 
   std::atomic<uint64_t> Violations{0};

@@ -1,13 +1,16 @@
 //===- tests/parallel_test.cpp - Scheduler and primitive tests ------------===//
 
+#include "gen/generators.h"
 #include "parallel/primitives.h"
 #include "parallel/scheduler.h"
+#include "store/sharded_graph.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <numeric>
 #include <random>
+#include <set>
 #include <thread>
 
 using namespace aspen;
@@ -79,6 +82,83 @@ TEST(Scheduler, MultipleApplicationThreads) {
   T3.join();
   int64_t Expect = 4 * 10 * (9999LL * 10000 / 2);
   EXPECT_EQ(Total.load(), Expect);
+}
+
+namespace {
+
+/// Every vertex's neighbor list in the store's current epoch.
+std::vector<std::vector<VertexId>> neighborLists(ShardedGraphStore &S) {
+  auto R = S.acquire();
+  auto V = R.view();
+  std::vector<std::vector<VertexId>> Out(V.numVertices());
+  for (VertexId U = 0; U < V.numVertices(); ++U)
+    V.mapNeighbors(U, [&](VertexId X) { Out[U].push_back(X); });
+  return Out;
+}
+
+} // namespace
+
+TEST(Scheduler, ContextIdsRecycleAcrossThreadChurn) {
+  // Each short-lived thread takes a context id when it first touches the
+  // store. Ids go back when a thread exits, so twice maxContexts() threads
+  // in a row never index past the per-context arrays of the scheduler
+  // and the allocator.
+  const VertexId N = 1 << 10;
+  const size_t Threads = 2 * size_t(maxContexts());
+  std::vector<std::vector<EdgePair>> Batches(Threads);
+  for (size_t I = 0; I < Threads; ++I)
+    Batches[I] = uniformRandomEdges(N, 16, I + 1);
+
+  ShardedGraphStore S(4, N), Ref(4, N);
+  std::vector<int> Ids(Threads, -1);
+  for (size_t I = 0; I < Threads; ++I) {
+    std::thread T([&, I] {
+      Ids[I] = workerId();
+      S.insertBatch(Batches[I]);
+    });
+    T.join();
+  }
+  for (size_t I = 0; I < Threads; ++I) {
+    ASSERT_GE(Ids[I], 0) << "thread " << I;
+    ASSERT_LT(Ids[I], maxContexts()) << "thread " << I;
+    Ref.insertBatch(Batches[I]);
+  }
+  EXPECT_EQ(S.acquire().numEdges(), Ref.acquire().numEdges());
+  EXPECT_EQ(neighborLists(S), neighborLists(Ref));
+}
+
+TEST(Scheduler, LiveThreadsGetDistinctContextIds) {
+  const int Threads = 64;
+  std::atomic<int> Arrived{0};
+  std::vector<int> Ids(Threads, -1);
+  std::vector<std::thread> Ts;
+  for (int I = 0; I < Threads; ++I)
+    Ts.emplace_back([&, I] {
+      Ids[I] = workerId();
+      Arrived.fetch_add(1);
+      // Latch: nobody exits (and frees its id) until all hold one.
+      while (Arrived.load() < Threads)
+        std::this_thread::yield();
+    });
+  for (auto &T : Ts)
+    T.join();
+  std::set<int> Distinct(Ids.begin(), Ids.end());
+  EXPECT_EQ(Distinct.size(), size_t(Threads));
+  EXPECT_GE(*Distinct.begin(), 0);
+  EXPECT_LT(*Distinct.rbegin(), maxContexts());
+}
+
+TEST(Scheduler, WorkerCountFromEnvIsClamped) {
+  int Default = detail::workerCountFromEnv(nullptr);
+  EXPECT_GE(Default, 1);
+  EXPECT_LE(Default, maxContexts() / 2);
+  EXPECT_EQ(detail::workerCountFromEnv("4"), 4);
+  // Non-numeric and non-positive values count as unset.
+  EXPECT_EQ(detail::workerCountFromEnv("0"), Default);
+  EXPECT_EQ(detail::workerCountFromEnv("-3"), Default);
+  EXPECT_EQ(detail::workerCountFromEnv("abc"), Default);
+  // Helper threads take ids below the pool size: at most half the ids.
+  EXPECT_EQ(detail::workerCountFromEnv("100000"), maxContexts() / 2);
 }
 
 TEST(Primitives, Tabulate) {
