@@ -139,6 +139,24 @@ void groupSpan(const EdgePair *Edges, size_t K,
   }
 }
 
+/// Partition \p K edges by owning shard (source & (\p S - 1), \p S a
+/// power of two) into \p Parts, stable within a shard, with
+/// \p ShardLo[S + 1] the per-shard slice bounds.
+inline void splitByShard(const EdgePair *Edges, size_t K, size_t S,
+                         EdgePair *Parts, size_t *ShardLo) {
+  VertexId Mask = VertexId(S - 1);
+  size_t At = 0;
+  for (size_t Sh = 0; Sh < S; ++Sh) {
+    ShardLo[Sh] = At;
+    At += filterIndexInto(
+        K, [&](size_t I) { return Edges[I]; },
+        [&](size_t I) { return size_t(Edges[I].first & Mask) == Sh; },
+        Parts + At);
+  }
+  ShardLo[S] = At;
+  assert(At == K && "shard split must cover the batch");
+}
+
 /// An immutable graph snapshot over edge sets of type \p EdgeSet
 /// (CTreeSet<VertexId, Codec> or UncompressedSet<VertexId>).
 template <class EdgeSet> class GraphSnapshotT {
@@ -206,33 +224,56 @@ public:
 
   /// BuildGraph (Section 10.4): a graph over vertices [0, N) containing
   /// the given directed edges. Vertices with no edges are materialized
-  /// with empty edge sets.
+  /// with empty edge sets. The one-shard case of buildShards.
   static GraphSnapshotT fromEdges(VertexId N, std::vector<EdgePair> Edges,
                                   BuildParams P = {}) {
-    parallelSort(Edges);
-    auto E = filterIndex(
-        Edges.size(), [&](size_t I) { return Edges[I]; },
-        [&](size_t I) { return I == 0 || Edges[I] != Edges[I - 1]; });
-    // Destination array, contiguous per source.
-    auto Dst = tabulate(E.size(), [&](size_t I) { return E[I].second; });
-    // Group boundaries by source.
-    auto Starts = filterIndex(
-        E.size(), [&](size_t I) { return I; },
-        [&](size_t I) {
-          return I == 0 || E[I].first != E[I - 1].first;
-        });
-    std::vector<std::pair<VertexId, EdgeSet>> Pairs(N);
-    parallelFor(0, N, [&](size_t V) {
-      Pairs[V] = {VertexId(V), EdgeSet()};
-    });
-    parallelFor(0, Starts.size(), [&](size_t G) {
-      size_t Lo = Starts[G];
-      size_t Hi = (G + 1 < Starts.size()) ? Starts[G + 1] : E.size();
-      VertexId Src = E[Lo].first;
-      assert(Src < N && "edge endpoint out of vertex range");
-      Pairs[Src].second = EdgeSet::buildSorted(Dst.data() + Lo, Hi - Lo, P);
-    });
-    return GraphSnapshotT(VT::buildSorted(Pairs.data(), Pairs.size()), P);
+    GraphSnapshotT G;
+    buildShards(Edges.data(), Edges.size(), 0, N, P, &G);
+    return G;
+  }
+
+  /// BuildGraph over S = 2^\p LogShards hash shards, the one build path
+  /// of fromEdges and the sharded store: \p Out[Sh] receives the edges
+  /// whose source is owned by shard Sh (source & (S - 1) == Sh), plus
+  /// every owned vertex Sh, Sh + S, ... < \p N with an empty edge set
+  /// when it has no edges. Each shard's edges are grouped by groupSpan,
+  /// merged with its owned ids, and built into one vertex tree. Sources
+  /// at or above N are materialized too.
+  static void buildShards(const EdgePair *Edges, size_t K, size_t LogShards,
+                          VertexId N, BuildParams P, GraphSnapshotT *Out) {
+    using PairT = std::pair<VertexId, EdgeSet>;
+    size_t S = size_t(1) << LogShards;
+    // Heap, not worker scratch: a one-off input-sized block would stay
+    // cached in this thread's scratch for the life of the thread.
+    std::vector<EdgePair> Parts(K);
+    CtxArray<size_t> ShardLo(S + 1);
+    EdgePair *PartsP = Parts.data();
+    size_t *ShardLoP = ShardLo.data();
+    splitByShard(Edges, K, S, PartsP, ShardLoP);
+    parallelFor(0, S, [&](size_t Sh) {
+      std::optional<GroupedBatchT<EdgeSet>> Groups;
+      size_t Lo = ShardLoP[Sh], Hi = ShardLoP[Sh + 1];
+      if (Hi > Lo)
+        groupSpan<EdgeSet>(PartsP + Lo, Hi - Lo, P, Groups, nullptr);
+      const PairT *G = Groups ? Groups->data() : nullptr;
+      size_t NG = Groups ? Groups->size() : 0;
+      // Owned id Sh + J * S sits at slot J; the groups ascend, so the
+      // sources at or above N are a suffix and follow every owned id.
+      size_t Owned = N > Sh ? (size_t(N) - Sh + S - 1) >> LogShards : 0;
+      size_t InRange = size_t(
+          std::partition_point(G, G + NG,
+                               [&](const PairT &E) { return E.first < N; }) -
+          G);
+      std::vector<PairT> Pairs(Owned + NG - InRange);
+      parallelFor(0, Owned, [&](size_t J) {
+        Pairs[J].first = VertexId(Sh + (J << LogShards));
+      });
+      parallelFor(0, NG, [&](size_t I) {
+        Pairs[I < InRange ? size_t(G[I].first >> LogShards)
+                          : Owned + I - InRange] = G[I];
+      });
+      Out[Sh] = GraphSnapshotT(VT::buildSorted(Pairs.data(), Pairs.size()), P);
+    }, 1);
   }
 
   //===--------------------------------------------------------------------===

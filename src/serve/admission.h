@@ -53,18 +53,16 @@ struct AdmissionStats {
 template <class Req> class AdmissionQueueT {
 public:
   struct Options {
-    size_t ReadCap = 1024;      ///< max queued reads before shedding
-    size_t WriteCap = 64;       ///< max queued writes before shedding
-    unsigned ReadsPerWrite = 8; ///< fairness ratio when both classes wait
+    size_t ReadCap = 1024; ///< max queued reads before shedding
+    size_t WriteCap = 64;  ///< max queued writes before shedding
   };
 
   using Stats = AdmissionStats;
 
-  explicit AdmissionQueueT(Options O = {}) : O(O) {
-    if (!this->O.ReadsPerWrite)
-      this->O.ReadsPerWrite = 1;
-    Credit = this->O.ReadsPerWrite;
-  }
+  /// Fairness ratio when both classes wait: reads served per write.
+  static constexpr unsigned ReadsPerWrite = 8;
+
+  explicit AdmissionQueueT(Options O = {}) : O(O) {}
 
   AdmissionQueueT(const AdmissionQueueT &) = delete;
   AdmissionQueueT &operator=(const AdmissionQueueT &) = delete;
@@ -176,7 +174,7 @@ private:
     else
       TakeWrite = Credit == 0; // both waiting: spend read credit first
     if (TakeWrite) {
-      Credit = O.ReadsPerWrite;
+      Credit = ReadsPerWrite;
       Req R = std::move(Writes.front());
       Writes.pop_front();
       return std::make_pair(RequestClass::Write, std::move(R));
@@ -192,7 +190,7 @@ private:
   mutable std::mutex M;
   std::condition_variable CV;
   std::deque<Req> Reads, Writes;
-  unsigned Credit = 0;
+  unsigned Credit = ReadsPerWrite;
   Stats St;
   /// Reads.size() + Writes.size(), readable without M (written under M).
   std::atomic<size_t> Queued{0};

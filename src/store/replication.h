@@ -15,7 +15,7 @@
 //     follower directory recovers (DurabilityEngine) to a byte-identical
 //     store.
 //   * Scrubber — re-verifies checkpoint page CRCs and WAL record CRCs
-//     at a configurable pace, quarantines corrupt checkpoint generations
+//     once per pass interval, quarantines corrupt checkpoint generations
 //     (recovery ignores *.quarantine; the next checkpoint is forced
 //     full), and repairs by re-fetching the file from a replica when a
 //     connector is configured.
@@ -398,10 +398,11 @@ private:
 /// on Seed so fault-matrix tests replay exactly; Jitter de-synchronizes
 /// a fleet of followers hammering a recovering leader.
 struct BackoffPolicy {
+  static constexpr double Multiplier = 2.0;
+  static constexpr double Jitter = 0.2; ///< +/- fraction of the delay
+
   uint64_t BaseMs = 10;
-  double Multiplier = 2.0;
   uint64_t MaxMs = 1000;
-  double Jitter = 0.2; ///< +/- fraction of the computed delay
   size_t MaxAttempts = 8;
   uint64_t Seed = 0x9E3779B97F4A7C15ULL;
 
@@ -711,9 +712,6 @@ private:
 struct ScrubOptions {
   /// Sleep between full passes of the background thread.
   uint64_t PassIntervalMs = 1000;
-  /// Sleep between individual files within a pass (paces the read I/O
-  /// so scrubbing a large directory does not monopolize the disk).
-  uint64_t FileIntervalMs = 0;
 };
 
 struct ScrubStats {
@@ -729,7 +727,7 @@ struct ScrubStats {
 };
 
 /// Re-verifies every checkpoint and WAL file in an engine's directory
-/// against its checksums, at a configurable pace. A corrupt checkpoint
+/// against its checksums, once per PassIntervalMs. A corrupt checkpoint
 /// generation is quarantined through the engine (so recovery and the
 /// incremental chain stop trusting it) and, when a repair connector is
 /// configured, restored by a verified re-fetch from the replica. A
@@ -780,8 +778,6 @@ public:
       else
         scrubWal(Dir, Name, Path == Active, DurableFloor,
                  uint64_t(St.st_size), Delta);
-      if (Opts.FileIntervalMs)
-        pausableSleep(Opts.FileIntervalMs);
       if (StopFlag.load(std::memory_order_relaxed))
         break;
     }

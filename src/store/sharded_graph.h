@@ -4,14 +4,23 @@
 // graph store: vertices are hash-partitioned across S shards (S a power
 // of two; S = 1 is the paper's single graph), each shard an independent
 // purely-functional GraphSnapshotT, and the published state is an *epoch*
-// — an immutable vector of per-shard snapshots installed through the
-// refcounted version-list core (store/version_list.h). Readers acquire()
-// an epoch and are guaranteed a cross-shard-consistent cut: every epoch
-// is the previous epoch plus complete batches only, so per-shard edge
-// counts always sum to a batch boundary and no reader ever observes a
-// torn batch. Readers are never blocked by writers for more than a
-// pointer swap, giving strict serializability of queries with respect
-// to update batches.
+// — an immutable vector of per-shard snapshots held by a
+// std::shared_ptr<const Epoch> that writers publish and readers load
+// with the shared_ptr atomics, exactly as the hot flat cache below is
+// published. Readers acquire() an epoch and are guaranteed a
+// cross-shard-consistent cut: every epoch is the previous epoch plus
+// complete batches only, so per-shard edge counts always sum to a batch
+// boundary and no reader ever observes a torn batch. Readers are never
+// blocked by writers for more than a pointer swap, giving strict
+// serializability of queries with respect to update batches. An epoch
+// is reclaimed when its last reference goes — the store's current slot
+// or a reader's Ref, which may outlive the store — so structural
+// sharing between consecutive epochs collapses to exactly the tree
+// nodes unique to dead ones.
+//
+// The initial epoch is built like GraphSnapshotT::fromEdges, by
+// GraphSnapshotT::buildShards: split by shard, groupSpan per shard, and
+// one vertex-tree build over the groups and the shard's owned ids.
 //
 // Ingest is a pipeline (DESIGN.md Sections 3 and 8):
 //   1. Prepare (no locks): the incoming spans are concatenated into one
@@ -30,7 +39,7 @@
 //      groups in parallel — one writer per shard.
 //   3. Install: under the commit lock, a new epoch is formed from the
 //      latest published epoch with the touched shards replaced, and
-//      published atomically via the version list. Writers whose batches
+//      published with one atomic shared_ptr store. Writers whose batches
 //      touch disjoint shards merge concurrently and serialize only for
 //      the O(S) pointer-copy install.
 //
@@ -60,16 +69,17 @@
 
 #include "graph/graph.h"
 #include "store/durability.h"
-#include "store/version_list.h"
 
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <deque>
 #include <exception>
 #include <memory>
 #include <mutex>
 #include <new>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -99,6 +109,79 @@ struct EdgeSpan {
   size_t Size = 0;
 };
 
+/// Bounded log of per-install deltas keyed by batch sequence number.
+/// The store records, for each installed epoch, a small summary of what
+/// changed relative to its predecessor (the touched-vertex digest); the
+/// hot flat cache, pinned at sequence F, catches up to T by replaying
+/// the deltas for (F, T] instead of rebuilding.
+///
+/// The log only answers for *contiguous* spans: recording a sequence
+/// number that does not directly follow the previous recorded one (an
+/// install whose delta was not captured) clears the log, so a
+/// successful replay() is always a complete, gap-free reconstruction and
+/// anything else falls back to the consumer's full rebuild. Bounded to
+/// \p MaxEntries recent installs; older consumers rebuild too.
+///
+/// record() is called by writers (serialized by the store's commit
+/// lock); replay() by readers. Both take the internal mutex, so the log
+/// is safe against concurrent readers and a concurrent writer.
+template <class DeltaT> class DeltaLogT {
+  struct Entry {
+    uint64_t Seq;
+    DeltaT Delta;
+  };
+
+public:
+  explicit DeltaLogT(size_t MaxEntries = 64) : MaxEntries(MaxEntries) {}
+
+  /// Record the delta of the install that produced \p Seq. Clears the
+  /// log first when \p Seq does not follow the last recorded one (some
+  /// install went unrecorded; spans across it must rebuild).
+  void record(uint64_t Seq, DeltaT Delta) {
+    std::lock_guard<std::mutex> Lock(M);
+    if (!Entries.empty() && Entries.back().Seq + 1 != Seq)
+      Entries.clear();
+    Entries.push_back(Entry{Seq, std::move(Delta)});
+    while (Entries.size() > MaxEntries)
+      Entries.pop_front();
+  }
+
+  /// Drop every recorded delta (e.g. after an install whose delta was
+  /// deliberately not captured); subsequent replays across this point
+  /// report non-coverage.
+  void clear() {
+    std::lock_guard<std::mutex> Lock(M);
+    Entries.clear();
+  }
+
+  /// Invoke \p Fn on the delta of every sequence number in (\p From,
+  /// \p To], oldest first. Returns false without invoking \p Fn at all
+  /// when the log does not cover the whole span (gap, trimmed history,
+  /// or From > To).
+  template <class F> bool replay(uint64_t From, uint64_t To, F &&Fn) const {
+    std::lock_guard<std::mutex> Lock(M);
+    if (From >= To)
+      return From == To;
+    if (Entries.empty() || Entries.front().Seq > From + 1 ||
+        Entries.back().Seq < To)
+      return false;
+    size_t I = size_t(From + 1 - Entries.front().Seq);
+    for (uint64_t S = From + 1; S <= To; ++S, ++I)
+      Fn(Entries[I].Delta);
+    return true;
+  }
+
+  size_t size() const {
+    std::lock_guard<std::mutex> Lock(M);
+    return Entries.size();
+  }
+
+private:
+  mutable std::mutex M;
+  std::deque<Entry> Entries;
+  size_t MaxEntries;
+};
+
 /// Hash-partitioned versioned graph store over \p EdgeSet shards.
 template <class EdgeSet> class ShardedGraphStoreT {
 public:
@@ -118,29 +201,32 @@ public:
   class FlatView;
 
   /// RAII reader handle to an acquired epoch (releasing is automatic).
+  /// It owns a reference to the epoch, so it may outlive the store.
   class Ref {
   public:
     Ref() = default;
     Ref(Ref &&) noexcept = default;
     Ref &operator=(Ref &&) noexcept = default;
 
-    const Epoch &epoch() const { return H.value(); }
-    uint64_t batchSeq() const { return H.value().BatchSeq; }
-    uint64_t numEdges() const { return H.value().NumEdges; }
-    size_t numShards() const { return H.value().Shards.size(); }
-    const Snapshot &shard(size_t S) const { return H.value().Shards[S]; }
+    const Epoch &epoch() const {
+      assert(E && "empty epoch handle");
+      return *E;
+    }
+    uint64_t batchSeq() const { return epoch().BatchSeq; }
+    uint64_t numEdges() const { return epoch().NumEdges; }
+    size_t numShards() const { return epoch().Shards.size(); }
+    const Snapshot &shard(size_t S) const { return epoch().Shards[S]; }
 
     /// Graph-view over the whole epoch; this handle must outlive it.
-    View view() const { return View(H.value()); }
+    View view() const { return View(epoch()); }
 
-    bool valid() const { return H.valid(); }
-    void reset() { H.reset(); }
+    bool valid() const { return E != nullptr; }
+    void reset() { E.reset(); }
 
   private:
     friend class ShardedGraphStoreT;
-    explicit Ref(typename VersionListT<Epoch>::Handle H)
-        : H(std::move(H)) {}
-    typename VersionListT<Epoch>::Handle H;
+    explicit Ref(std::shared_ptr<const Epoch> E) : E(std::move(E)) {}
+    std::shared_ptr<const Epoch> E;
   };
 
   /// Construct an empty store with \p NumShards shards (rounded up to a
@@ -160,7 +246,7 @@ public:
       : LogShards(log2Ceil(NumShards)),
         Mask(VertexId((size_t(1) << LogShards) - 1)), Params(P),
         ShardLocks(new std::mutex[size_t(1) << LogShards]),
-        Versions(initialEpoch(LogShards, N, std::move(Edges), P)) {}
+        Current(initialEpoch(LogShards, N, Edges, P)) {}
 
   /// Durable open (opt-in; DESIGN.md Section 7): recover the newest
   /// valid checkpoint from \p O.Dir, replay the WAL suffix through the
@@ -189,7 +275,9 @@ public:
 
   /// Acquire the current epoch. Never blocked by writers for more than a
   /// pointer swap; the returned cut is always a whole-batch boundary.
-  Ref acquire() { return Ref(Versions.acquire()); }
+  Ref acquire() {
+    return Ref(std::atomic_load_explicit(&Current, std::memory_order_acquire));
+  }
 
   /// Number of complete batches applied so far (one atomic load; the
   /// mirror is published under the commit lock).
@@ -299,7 +387,7 @@ public:
     EdgePair *PartsP = Parts.data();
     CtxArray<size_t> ShardLo(S + 1);
     size_t *ShardLoP = ShardLo.data();
-    splitByShard(AllP, K, PartsP, ShardLoP);
+    splitByShard(AllP, K, S, PartsP, ShardLoP);
     parallelFor(0, S, [&](size_t Sh) {
       size_t Lo = ShardLoP[Sh], Hi = ShardLoP[Sh + 1];
       if (Hi > Lo)
@@ -525,7 +613,7 @@ public:
     std::shared_ptr<const FlatEpoch> Cached =
         std::atomic_load_explicit(&CachedFlat, std::memory_order_acquire);
     if (Cached && Cached->BatchSeq == Seq) {
-      ++Stats.Hits;
+      FlatHitsV.fetch_add(1, std::memory_order_relaxed);
       return Cached;
     }
 
@@ -568,7 +656,7 @@ public:
           New->Flats[Sh] =
               Flat::refresh(Prev.Flats[Sh], Cur, T.data(), T.size());
         }, 1);
-        ++Stats.Refreshes;
+        FlatRefreshesV.fetch_add(1, std::memory_order_relaxed);
       }
     }
     if (!New) {
@@ -577,7 +665,7 @@ public:
       parallelFor(0, S, [&](size_t Sh) {
         New->Flats[Sh] = Flat(E.shard(Sh), unsigned(LogShards));
       }, 1);
-      ++Stats.Rebuilds;
+      FlatRebuildsV.fetch_add(1, std::memory_order_relaxed);
     }
     New->BatchSeq = Seq;
     New->NumEdges = E.numEdges();
@@ -595,10 +683,9 @@ public:
   /// Rebuild/refresh/hit counters of acquireFlat() (diagnostics, tests).
   /// Hits counts both mutex-path and lock-free fast-path hits.
   FlatMaintenanceStats flatStats() const {
-    std::lock_guard<std::mutex> Lock(FlatM);
-    FlatMaintenanceStats R = Stats;
-    R.Hits += FlatHitsV.load(std::memory_order_relaxed);
-    return R;
+    return {FlatRebuildsV.load(std::memory_order_relaxed),
+            FlatRefreshesV.load(std::memory_order_relaxed),
+            FlatHitsV.load(std::memory_order_relaxed)};
   }
 
   /// Durability engine of a durable store (nullptr on a memory-only
@@ -620,14 +707,15 @@ public:
   /// When the engine offers a base generation, only changed shards are
   /// serialized and written; the manifest chains back to the base.
   uint64_t checkpointNow() {
-    assert(Durable && "checkpointNow on a memory-only store");
+    if (!Durable)
+      throw std::logic_error("checkpointNow on a memory-only store");
     std::lock_guard<std::mutex> G(CkptStateM);
     Ref E = acquire();
     size_t S = numShards();
     std::vector<std::vector<uint8_t>> Streams(S);
     std::optional<uint64_t> Base = Durable->incrementalBaseFor();
     bool Wrote = false;
-    if (Base && CkptEpoch.valid() && CkptEpochSeq == *Base) {
+    if (Base && CkptEpoch.valid() && CkptEpoch.batchSeq() == *Base) {
       std::vector<uint8_t> Present(S, 0);
       for (size_t Sh = 0; Sh < S; ++Sh)
         Present[Sh] = E.shard(Sh).root() != CkptEpoch.shard(Sh).root();
@@ -658,9 +746,8 @@ public:
       // Pin this epoch until the next checkpoint: the pin keeps the
       // shard roots alive, so pointer identity against them stays
       // sound (structural sharing bounds the pinned delta).
-      CkptEpochSeq = E.batchSeq();
       CkptEpoch = std::move(E);
-      return CkptEpochSeq;
+      return CkptEpoch.batchSeq();
     }
     return E.batchSeq();
   }
@@ -676,21 +763,21 @@ private:
                       : log2Ceil(NumShards)),
         Mask(VertexId((size_t(1) << LogShards) - 1)), Params(P),
         ShardLocks(new std::mutex[size_t(1) << LogShards]),
-        Versions(initialEpoch(LogShards, N, {}, P)),
+        Current(initialEpoch(LogShards, N, {}, P)),
         Durable(std::move(Eng)) {
     const RecoveredState &R = Durable->recovered();
     size_t S = numShards();
     if (R.Ckpt) {
       if (R.Ckpt->ShardStreams.size() != S)
         throw CorruptCheckpoint("sharded checkpoint shard-count mismatch");
-      Epoch E;
-      E.Shards.resize(S);
+      auto E = std::make_shared<Epoch>();
+      E->Shards.resize(S);
       std::vector<std::exception_ptr> Errs(S);
       parallelFor(0, S, [&](size_t Sh) {
         try {
           ByteReader Rd(R.Ckpt->ShardStreams[Sh].data(),
                         R.Ckpt->ShardStreams[Sh].size());
-          E.Shards[Sh] = deserializeSnapshot<EdgeSet>(Rd, Params);
+          E->Shards[Sh] = deserializeSnapshot<EdgeSet>(Rd, Params);
         } catch (...) {
           Errs[Sh] = std::current_exception();
         }
@@ -698,15 +785,14 @@ private:
       for (std::exception_ptr &Ep : Errs)
         if (Ep)
           std::rethrow_exception(Ep);
-      E.BatchSeq = R.Ckpt->Seq;
-      finalizeAggregates(E, N);
-      Versions.set(std::move(E));
+      E->BatchSeq = R.Ckpt->Seq;
+      finalizeAggregates(*E, N);
+      publish(std::move(E));
       PublishedSeqV.store(R.Ckpt->Seq, std::memory_order_release);
       // Pin the checkpoint epoch before replay: the first post-recovery
       // checkpoint can then be incremental against the recovered base
       // (untouched shards share these exact roots across replay).
       CkptEpoch = acquire();
-      CkptEpochSeq = R.Ckpt->Seq;
       // Recovery priming: build the hot flat from the checkpoint epoch
       // (the cache is cold, so this is acquireFlat's rebuild) *before*
       // replay, so the first post-recovery acquireFlat() takes the
@@ -739,30 +825,24 @@ private:
     return L;
   }
 
-  static Epoch initialEpoch(size_t LogShards, VertexId N,
-                            std::vector<EdgePair> Edges,
-                            typename EdgeSet::BuildParams P) {
-    size_t S = size_t(1) << LogShards;
-    VertexId Mask = VertexId(S - 1);
-    Epoch E;
-    E.Shards.resize(S);
-    parallelFor(0, S, [&](size_t Sh) {
-      // Every owned vertex in [0, N) materialized with an empty edge set
-      // (mirroring GraphSnapshotT::fromEdges), then this shard's edges.
-      std::vector<VertexId> Owned;
-      for (VertexId V = VertexId(Sh); V < N; V += VertexId(S))
-        Owned.push_back(V);
-      std::vector<EdgePair> Mine;
-      for (const EdgePair &P : Edges)
-        if (size_t(P.first & Mask) == Sh) {
-          assert(P.first < N && "edge endpoint out of vertex range");
-          Mine.push_back(P);
-        }
-      E.Shards[Sh] = Snapshot(P).insertVertices(std::move(Owned))
-                         .insertEdges(std::move(Mine));
-    }, 1);
-    finalizeAggregates(E, N);
+  /// The store's first epoch: vertices [0, N) and \p Edges, built by
+  /// the same routine as GraphSnapshotT::fromEdges.
+  static std::shared_ptr<const Epoch>
+  initialEpoch(size_t LogShards, VertexId N, const std::vector<EdgePair> &Edges,
+               typename EdgeSet::BuildParams P) {
+    auto E = std::make_shared<Epoch>();
+    E->Shards.resize(size_t(1) << LogShards);
+    Snapshot::buildShards(Edges.data(), Edges.size(), LogShards, N, P,
+                          E->Shards.data());
+    finalizeAggregates(*E, N);
     return E;
+  }
+
+  /// Make \p E the current epoch (callers hold CommitM or own the store
+  /// exclusively); pairs with acquire()'s atomic load.
+  void publish(std::shared_ptr<const Epoch> E) {
+    std::atomic_store_explicit(&Current, std::move(E),
+                               std::memory_order_release);
   }
 
   static void finalizeAggregates(Epoch &E, VertexId FloorUniverse) {
@@ -774,23 +854,6 @@ private:
     }
     E.NumEdges = Edges;
     E.Universe = U;
-  }
-
-  /// Partition \p K edges by owning shard into \p PartsP (stable within
-  /// a shard), with \p ShardLoP[S + 1] the per-shard slice bounds.
-  void splitByShard(const EdgePair *Edges, size_t K, EdgePair *PartsP,
-                    size_t *ShardLoP) const {
-    size_t S = numShards();
-    size_t At = 0;
-    for (size_t Sh = 0; Sh < S; ++Sh) {
-      ShardLoP[Sh] = At;
-      At += filterIndexInto(
-          K, [&](size_t I) { return Edges[I]; },
-          [&](size_t I) { return size_t(Edges[I].first & Mask) == Sh; },
-          PartsP + At);
-    }
-    ShardLoP[S] = At;
-    assert(At == K && "shard split must cover the batch");
   }
 
   /// Shared merge + install tail. Preconditions: the shards flagged in
@@ -840,15 +903,15 @@ private:
     try {
       std::lock_guard<std::mutex> Lock(CommitM);
       Latest = acquire();
-      Epoch Next;
-      Next.Shards = Latest.epoch().Shards;
+      auto Next = std::make_shared<Epoch>();
+      Next->Shards = Latest.epoch().Shards;
       for (size_t Sh = 0; Sh < S; ++Sh)
         if (TouchedShP[Sh])
-          Next.Shards[Sh] = std::move(Merged[Sh]);
+          Next->Shards[Sh] = std::move(Merged[Sh]);
       uint64_t Prev = Latest.epoch().BatchSeq;
-      Next.BatchSeq = Prev + NumSpans;
-      finalizeAggregates(Next, Latest.epoch().Universe);
-      Seq = Next.BatchSeq;
+      Next->BatchSeq = Prev + NumSpans;
+      finalizeAggregates(*Next, Latest.epoch().Universe);
+      Seq = Next->BatchSeq;
       // WAL appends under the commit lock: file order = install order,
       // one record per coalesced batch carrying its original (unsorted,
       // unsplit) edges, so replay — which runs batch-per-epoch —
@@ -860,10 +923,12 @@ private:
                                       : WalKind::DeleteBatch,
                                Prev + I + 1, Spans[I].Data, Spans[I].Size);
       uint64_t DigestCap =
-          uint64_t(Next.Universe) / FlatRefreshDenominator;
-      Versions.set(std::move(Next));
+          uint64_t(Next->Universe) / FlatRefreshDenominator;
+      // Latest still holds the superseded epoch, so this store never
+      // reclaims it under the lock.
+      publish(std::move(Next));
       // Sparse per-shard digest (touched shards only). The digest log
-      // is keyed by contiguous BatchSeq stamps, so a coalesced install
+      // is keyed by contiguous BatchSeq values, so a coalesced install
       // records EMPTY digests at the intermediate sequence numbers
       // (never published as epochs — no reader replays a span ending
       // on one) and the union digest at the final one: any replay span
@@ -901,7 +966,8 @@ private:
     for (size_t Sh = S; Sh-- > 0;)
       if (TouchedShP[Sh])
         ShardLocks[Sh].unlock();
-    // Superseded-epoch reclamation outside every lock.
+    // Superseded-epoch reclamation outside every lock (unless a reader
+    // still holds it).
     Base.reset();
     Latest.reset();
     if (Tk.Log) {
@@ -946,7 +1012,9 @@ private:
   typename EdgeSet::BuildParams Params{};
   std::unique_ptr<std::mutex[]> ShardLocks;
   std::mutex CommitM;
-  VersionListT<Epoch> Versions;
+  // The current epoch, loaded by acquire() and replaced by publish()
+  // with the shared_ptr atomics.
+  std::shared_ptr<const Epoch> Current;
   // Lock-free mirror of the published epoch's BatchSeq (stored under
   // CommitM, read by batchSeq() and the acquireFlat fast path).
   std::atomic<uint64_t> PublishedSeqV{0};
@@ -956,7 +1024,6 @@ private:
   // against it stays sound until the next checkpoint replaces the pin.
   std::mutex CkptStateM;
   Ref CkptEpoch;
-  uint64_t CkptEpochSeq = 0;
 
   // Durability (nullptr on a memory-only store); Recovering gates the
   // WAL re-append while the constructor replays the recovered log.
@@ -971,10 +1038,10 @@ private:
   // writers, and current-epoch hits bypass FlatM entirely via the
   // atomic shared_ptr fast path.
   DeltaLogT<ShardDigest> Digests{FlatReplayMaxEpochs};
-  mutable std::mutex FlatM;
+  std::mutex FlatM;
   std::shared_ptr<const FlatEpoch> CachedFlat;
-  FlatMaintenanceStats Stats;
-  mutable std::atomic<uint64_t> FlatHitsV{0};
+  // FlatMaintenanceStats counters, one relaxed atomic per event.
+  std::atomic<uint64_t> FlatRebuildsV{0}, FlatRefreshesV{0}, FlatHitsV{0};
 };
 
 /// Default Aspen configuration: C-tree shards with difference encoding.

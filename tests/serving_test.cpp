@@ -266,7 +266,7 @@ TEST(ServeCoalesce, DurableCoalescedInstallReplays) {
 //===----------------------------------------------------------------------===
 
 TEST(ServeAdmission, RejectsWhenFull) {
-  AdmissionQueueT<int> Q({/*ReadCap=*/2, /*WriteCap=*/1, 4});
+  AdmissionQueueT<int> Q({/*ReadCap=*/2, /*WriteCap=*/1});
   EXPECT_TRUE(Q.tryPush(RequestClass::Read, 1));
   EXPECT_TRUE(Q.tryPush(RequestClass::Read, 2));
   EXPECT_FALSE(Q.tryPush(RequestClass::Read, 3)); // shed
@@ -290,8 +290,8 @@ TEST(ServeAdmission, RejectsWhenFull) {
 }
 
 TEST(ServeAdmission, WeightedFairUnderSaturation) {
-  const unsigned RPW = 4;
-  AdmissionQueueT<int> Q({/*ReadCap=*/256, /*WriteCap=*/64, RPW});
+  const unsigned RPW = AdmissionQueueT<int>::ReadsPerWrite;
+  AdmissionQueueT<int> Q({/*ReadCap=*/256, /*WriteCap=*/64});
   for (int I = 0; I < 64; ++I)
     ASSERT_TRUE(Q.tryPush(RequestClass::Read, I));
   for (int I = 0; I < 8; ++I)
@@ -312,7 +312,7 @@ TEST(ServeAdmission, WeightedFairUnderSaturation) {
 }
 
 TEST(ServeAdmission, WorkConservingWhenOneClassIdle) {
-  AdmissionQueueT<int> Q({16, 16, 4});
+  AdmissionQueueT<int> Q({16, 16});
   // Writes only: served back-to-back, no read credit throttling.
   for (int I = 0; I < 6; ++I)
     ASSERT_TRUE(Q.tryPush(RequestClass::Write, I));

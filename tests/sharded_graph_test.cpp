@@ -24,6 +24,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
+#include <stdexcept>
 #include <thread>
 
 using namespace aspen;
@@ -47,26 +49,90 @@ std::vector<VertexId> adjacency(const View &V, VertexId U) {
 
 } // namespace
 
+/// Build \p Store over \p Edges at \p Shards shards and check it against
+/// an independent std::set adjacency: every owned vertex below N and
+/// every edge source is materialized exactly once, in its owning shard,
+/// with exactly the reference neighbors, and every shard's trees pass
+/// their structural audit.
+template <class Store>
+void expectBuildMatchesReference(size_t Shards, VertexId N,
+                                 const std::vector<EdgePair> &Edges) {
+  VertexId Universe = N;
+  for (const EdgePair &E : Edges)
+    Universe = std::max(Universe, VertexId(E.first + 1));
+  std::vector<std::set<VertexId>> Ref(Universe);
+  std::set<VertexId> Present;
+  for (VertexId U = 0; U < N; ++U)
+    Present.insert(U);
+  uint64_t RefEdges = 0;
+  for (const EdgePair &E : Edges) {
+    RefEdges += Ref[E.first].insert(E.second).second;
+    Present.insert(E.first);
+  }
+
+  Store St(Shards, N, Edges);
+  ASSERT_EQ(St.numShards(), Shards);
+  auto R = St.acquire();
+  EXPECT_EQ(R.numEdges(), RefEdges);
+  auto V = R.view();
+  EXPECT_EQ(V.numVertices(), Universe);
+  uint64_t ShardEdges = 0;
+  size_t ShardVertices = 0;
+  for (size_t Sh = 0; Sh < Shards; ++Sh) {
+    EXPECT_TRUE(R.shard(Sh).checkInvariants()) << "shard " << Sh;
+    ShardEdges += R.shard(Sh).numEdges();
+    ShardVertices += R.shard(Sh).numVertices();
+  }
+  EXPECT_EQ(ShardEdges, RefEdges);
+  EXPECT_EQ(ShardVertices, Present.size());
+  for (VertexId U = 0; U < Universe; ++U) {
+    EXPECT_EQ(R.shard(St.shardOf(U)).hasVertex(U), Present.count(U) == 1)
+        << "vertex " << U;
+    ASSERT_EQ(V.degree(U), Ref[U].size()) << "vertex " << U;
+    ASSERT_EQ(adjacency(V, U),
+              std::vector<VertexId>(Ref[U].begin(), Ref[U].end()))
+        << "vertex " << U;
+  }
+}
+
 TEST(ShardedGraph, BuildMatchesSingleStore) {
   const VertexId N = 1 << 10;
-  auto Edges = randomBatch(N, 6000, 1);
-  Graph Single = Graph::fromEdges(N, Edges);
-  for (size_t Shards : {1u, 2u, 4u, 8u}) {
-    ShardedGraphStore Store(Shards, N, Edges);
-    EXPECT_EQ(Store.numShards(), Shards);
-    auto R = Store.acquire();
-    EXPECT_EQ(R.numEdges(), Single.numEdges());
-    auto V = R.view();
-    EXPECT_EQ(V.numVertices(), Single.vertexUniverse());
-    uint64_t ShardSum = 0;
-    for (size_t S = 0; S < Shards; ++S)
-      ShardSum += R.shard(S).numEdges();
-    EXPECT_EQ(ShardSum, Single.numEdges());
-    for (VertexId U = 0; U < N; ++U) {
-      ASSERT_EQ(V.degree(U), Single.degree(U)) << "vertex " << U;
-      ASSERT_EQ(adjacency(V, U), Single.findVertex(U).toVector());
+  auto Random = randomBatch(N, 6000, 1);
+  // Every edge twice, plus a run of one repeated edge.
+  auto Dups = uniformRandomEdges(N, 3000, 11);
+  Dups.insert(Dups.end(), Dups.begin(), Dups.end());
+  Dups.insert(Dups.end(), 50, EdgePair{5, 9});
+  // Edges among the low half only: the high half stays isolated.
+  auto Isolated = uniformRandomEdges(N / 2, 2000, 12);
+  // N not a multiple of any shard count above one.
+  const VertexId Odd = 1001;
+  auto OddEdges = uniformRandomEdges(Odd, 4000, 13);
+  // Sources at or above N still materialize, in their owning shard.
+  std::vector<EdgePair> Beyond = {{3, 4}, {N + 5, 1}, {N + 5, 2}, {N + 2, 0}};
+
+  struct Input {
+    const char *Name;
+    VertexId N;
+    const std::vector<EdgePair> &Edges;
+  };
+  const std::vector<EdgePair> Empty;
+  for (const Input &In :
+       {Input{"random", N, Random}, Input{"dups", N, Dups},
+        Input{"isolated", N, Isolated}, Input{"empty", N, Empty},
+        Input{"odd-n", Odd, OddEdges}, Input{"beyond-n", N, Beyond}})
+    for (size_t Shards : {1u, 2u, 8u}) {
+      SCOPED_TRACE(std::string(In.Name) + " shards=" +
+                   std::to_string(Shards));
+      expectBuildMatchesReference<ShardedGraphStore>(Shards, In.N, In.Edges);
+      expectBuildMatchesReference<HybridShardedGraphStore>(Shards, In.N,
+                                                           In.Edges);
     }
-  }
+  // fromEdges is the one-shard case of the same build.
+  Graph Single = Graph::fromEdges(Odd, OddEdges);
+  ShardedGraphStore One(1, Odd, OddEdges);
+  auto R = One.acquire();
+  for (VertexId U = 0; U < Odd; ++U)
+    ASSERT_EQ(Single.findVertex(U).toVector(), adjacency(R.view(), U));
 }
 
 TEST(ShardedGraph, ShardsPartitionVertices) {
@@ -173,6 +239,43 @@ TEST(ShardedGraph, LeakFreeReclamation) {
   }
   EXPECT_EQ(liveCountedBytes(), BaseBytes);
   EXPECT_EQ(totalPoolLiveBytes(), BaseNodes);
+}
+
+TEST(ShardedGraph, RefOutlivesStore) {
+  int64_t BaseBytes = liveCountedBytes();
+  int64_t BaseNodes = totalPoolLiveBytes();
+  {
+    const VertexId N = 256;
+    ShardedGraphStore::Ref R;
+    uint64_t Edges = 0;
+    std::vector<VertexId> Adj;
+    {
+      ShardedGraphStore Store(4, N, randomBatch(N, 2000, 7));
+      Store.insertBatch(randomBatch(N, 300, 8));
+      R = Store.acquire();
+      Edges = R.numEdges();
+      Adj = adjacency(R.view(), 7);
+    } // R still pins the store's current epoch
+    ASSERT_TRUE(R.valid());
+    EXPECT_EQ(R.batchSeq(), 1u);
+    EXPECT_EQ(R.numEdges(), Edges);
+    EXPECT_EQ(adjacency(R.view(), 7), Adj);
+    for (size_t Sh = 0; Sh < R.numShards(); ++Sh)
+      EXPECT_TRUE(R.shard(Sh).checkInvariants());
+    EXPECT_GT(totalPoolLiveBytes(), BaseNodes);
+    R.reset();
+    EXPECT_EQ(totalPoolLiveBytes(), BaseNodes);
+  }
+  EXPECT_EQ(liveCountedBytes(), BaseBytes);
+}
+
+TEST(ShardedGraph, CheckpointNowOnMemoryStoreThrows) {
+  ShardedGraphStore Store(2, 16, {{0, 1}});
+  EXPECT_EQ(Store.durability(), nullptr);
+  EXPECT_THROW(Store.checkpointNow(), std::logic_error);
+  // The store is unharmed and keeps ingesting.
+  EXPECT_EQ(Store.insertBatch({{1, 2}}), 1u);
+  EXPECT_EQ(Store.acquire().numEdges(), 2u);
 }
 
 //===----------------------------------------------------------------------===

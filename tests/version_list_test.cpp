@@ -1,21 +1,17 @@
-//===- tests/version_list_test.cpp - Version list and digest log tests ----===//
+//===- tests/version_list_test.cpp - Digest log tests ---------------------===//
 //
-// The version-maintenance core of Section 6 (store/version_list.h):
-// stamps, pinning, move semantics, reclamation, and concurrent
-// acquire/release under installs; plus the bounded DeltaLogT digest
-// window behind the store's incremental flat refresh, exercised both
-// directly and through a one-shard store's acquireFlat().
+// The bounded DeltaLogT digest window (store/sharded_graph.h) behind the
+// store's incremental flat refresh, exercised both directly and through
+// a one-shard store's acquireFlat(). Epoch pinning, handle moves,
+// reclamation and acquire under concurrent installs are covered by
+// sharded_graph_test and concurrency_test.
 //
 //===----------------------------------------------------------------------===//
 
 #include "gen/generators.h"
 #include "store/sharded_graph.h"
-#include "store/version_list.h"
 
 #include <gtest/gtest.h>
-
-#include <atomic>
-#include <thread>
 
 using namespace aspen;
 
@@ -29,98 +25,6 @@ std::vector<EdgePair> randomEdgeBatch(size_t K, VertexId N, uint64_t Seed) {
 }
 
 } // namespace
-
-//===----------------------------------------------------------------------===
-// The extracted VersionListT core (store/version_list.h), independent of
-// graphs: stamps, pinning, move semantics, and reclamation of arbitrary
-// payloads.
-//===----------------------------------------------------------------------===
-
-namespace {
-
-/// Payload that counts live instances so reclamation is observable.
-struct Tracked {
-  static std::atomic<int> Live;
-  int Value;
-  explicit Tracked(int V) : Value(V) { Live.fetch_add(1); }
-  Tracked(const Tracked &O) : Value(O.Value) { Live.fetch_add(1); }
-  Tracked(Tracked &&O) noexcept : Value(O.Value) { Live.fetch_add(1); }
-  ~Tracked() { Live.fetch_sub(1); }
-};
-std::atomic<int> Tracked::Live{0};
-
-} // namespace
-
-TEST(VersionList, StampsAndPinning) {
-  VersionListT<int> L(10);
-  auto H0 = L.acquire();
-  EXPECT_EQ(H0.value(), 10);
-  EXPECT_EQ(H0.stamp(), 0u);
-  EXPECT_EQ(L.set(20), 1u);
-  EXPECT_EQ(L.set(30), 2u);
-  EXPECT_EQ(L.currentStamp(), 2u);
-  // The pinned handle still reads the old value.
-  EXPECT_EQ(H0.value(), 10);
-  auto H2 = L.acquire();
-  EXPECT_EQ(H2.value(), 30);
-  EXPECT_EQ(H2.stamp(), 2u);
-}
-
-TEST(VersionList, HandleMoveSemantics) {
-  VersionListT<int> L(1);
-  auto A = L.acquire();
-  auto B = std::move(A);
-  EXPECT_FALSE(A.valid());
-  EXPECT_TRUE(B.valid());
-  EXPECT_EQ(B.value(), 1);
-  B.reset();
-  EXPECT_FALSE(B.valid());
-}
-
-TEST(VersionList, ReclaimsUnpinnedVersions) {
-  EXPECT_EQ(Tracked::Live.load(), 0);
-  {
-    VersionListT<Tracked> L(Tracked(0));
-    auto Pin = L.acquire();
-    for (int I = 1; I <= 50; ++I)
-      L.set(Tracked(I));
-    // Only the pinned initial version and the current one survive.
-    EXPECT_EQ(Tracked::Live.load(), 2);
-    EXPECT_EQ(Pin.value().Value, 0);
-    Pin.reset();
-    EXPECT_EQ(Tracked::Live.load(), 1);
-  }
-  EXPECT_EQ(Tracked::Live.load(), 0);
-}
-
-TEST(VersionList, ConcurrentAcquireReleaseUnderSets) {
-  VersionListT<uint64_t> L(0);
-  std::atomic<bool> Done{false};
-  std::atomic<uint64_t> Violations{0};
-  std::thread Writer([&] {
-    for (uint64_t I = 1; I <= 2000; ++I)
-      L.set(I);
-    Done.store(true);
-  });
-  std::vector<std::thread> Readers;
-  for (int R = 0; R < 3; ++R)
-    Readers.emplace_back([&] {
-      uint64_t Last = 0;
-      while (!Done.load()) {
-        auto H = L.acquire();
-        // Values are installed in order, so observations are monotone,
-        // and a handle's value/stamp never change while held.
-        if (H.value() < Last || H.value() != H.stamp())
-          Violations.fetch_add(1);
-        Last = H.value();
-      }
-    });
-  Writer.join();
-  for (auto &T : Readers)
-    T.join();
-  EXPECT_EQ(Violations.load(), 0u);
-  EXPECT_EQ(L.acquire().value(), 2000u);
-}
 
 //===----------------------------------------------------------------------===//
 // DeltaLogT edge cases: the bounded digest window behind acquireFlat()'s
