@@ -21,9 +21,9 @@ namespace aspen {
 
 /// Workspace blocks are retained for reuse, so a hub query whose
 /// neighborhood approaches m must not pin an m-sized block in the context
-/// (or the per-worker caches) for the process lifetime. BoundedCtxArray
-/// (memory/algo_context.h) enforces that: sizes above this bound live on
-/// transient heap for the duration of the query only.
+/// (or the per-worker caches) for the process lifetime. CtxArray's
+/// bounded constructor (memory/algo_context.h) enforces that: sizes above
+/// this bound live on transient heap for the duration of the query only.
 inline constexpr size_t TwoHopWorkspaceBound =
     (size_t(1) << 20) * sizeof(VertexId);
 
@@ -34,14 +34,14 @@ template <class GView>
 std::vector<VertexId> twoHop(const GView &G, VertexId Src,
                              AlgoContext &Ctx) {
   uint64_t Deg = G.degree(Src);
-  BoundedCtxArray<VertexId> Hop1(Ctx, size_t(Deg), TwoHopWorkspaceBound);
+  CtxArray<VertexId> Hop1(Ctx, size_t(Deg), TwoHopWorkspaceBound);
   size_t Hop1N = 0;
   uint64_t Total = 1 + Deg;
   G.mapNeighbors(Src, [&](VertexId U) { Hop1[Hop1N++] = U; });
   for (size_t I = 0; I < Hop1N; ++I)
     Total += G.degree(Hop1[I]);
 
-  BoundedCtxArray<VertexId> Cand(Ctx, size_t(Total), TwoHopWorkspaceBound);
+  CtxArray<VertexId> Cand(Ctx, size_t(Total), TwoHopWorkspaceBound);
   size_t CandN = 0;
   Cand[CandN++] = Src;
   for (size_t I = 0; I < Hop1N; ++I)

@@ -170,7 +170,7 @@ public:
     if (H == 0)
       return CTreeSet(nullptr, makeChunk<Codec>(E, N));
     Payload *Pre = makeChunk<Codec>(E, HeadIdxP[0]);
-    UpdateBuf Pairs(H);
+    HeadUpdates Pairs(H);
     Pairs.setSize(H);
     parallelFor(0, H, [&](size_t I) {
       size_t Lo = HeadIdxP[I] + 1;
@@ -667,46 +667,10 @@ public:
   static inline size_t BatchParCutoff = 2048;
 
 private:
-  /// Scratch-backed (head, merged tail) update buffer for the batch base
-  /// cases: the pair's ChunkRef is not trivially destructible, so
-  /// CtxArray does not apply — placement-new into borrowed scratch with
-  /// explicit destruction instead, mirroring graph.h's GroupedBatchT.
-  /// multiInsert's buildSorted copies the refs into tree nodes; the
-  /// destructor drops the buffer's own references afterwards.
-  class UpdateBuf {
-  public:
-    using PairT = std::pair<K, ChunkRef<K>>;
-
-    explicit UpdateBuf(size_t MaxGroups)
-        : Mem(static_cast<PairT *>(
-              ctxAcquire(nullptr, MaxGroups * sizeof(PairT), Cap))) {}
-    UpdateBuf(const UpdateBuf &) = delete;
-    UpdateBuf &operator=(const UpdateBuf &) = delete;
-    ~UpdateBuf() {
-      for (size_t I = 0; I < N; ++I)
-        Mem[I].~PairT();
-      ctxRelease(nullptr, Mem, Cap);
-    }
-
-    void emplaceBack(K Head, ChunkRef<K> Tail) {
-      new (&Mem[N]) PairT(Head, std::move(Tail));
-      ++N;
-    }
-    /// Indexed construction for parallel fills: setSize first, then
-    /// construct every slot exactly once.
-    void emplaceAt(size_t I, K Head, ChunkRef<K> Tail) {
-      new (&Mem[I]) PairT(Head, std::move(Tail));
-    }
-    void setSize(size_t Size) { N = Size; }
-
-    PairT *data() { return Mem; }
-    size_t size() const { return N; }
-
-  private:
-    PairT *Mem;
-    size_t Cap;
-    size_t N = 0;
-  };
+  /// (head, merged tail) update buffer of the batch base cases;
+  /// multiInsert's buildSorted copies the refs into tree nodes, and the
+  /// buffer drops its own references afterwards.
+  using HeadUpdates = PairScratch<K, ChunkRef<K>>;
 
   /// Shared group-routing core of unionBC/diffBC (Algorithm 2): route the
   /// sorted batch E[0..NE) to head territories of \p Tr and emit one
@@ -723,7 +687,7 @@ private:
   /// invisible outside scheduling.
   template <class MergeFn>
   static void routeGroups(const Node *Tr, const K *E, size_t NE,
-                          UpdateBuf &Updates, const MergeFn &Merge) {
+                          HeadUpdates &Updates, const MergeFn &Merge) {
     if (NE < BatchParCutoff || !detail::parallelismEnabled()) {
       size_t I = 0;
       while (I < NE) {
@@ -790,7 +754,7 @@ private:
     CtxArray<K> E(PR->Count);
     size_t NE = decodeChunkTo<Codec>(PR, E.data());
     releaseChunk(PR);
-    UpdateBuf Updates(NE);
+    HeadUpdates Updates(NE);
     routeGroups(C.T, E.data(), NE, Updates,
                 [](const Node *HN, const K *Span, size_t Len) {
                   return unionChunkSpan<Codec>(HN->Val.get(), Span, Len);
@@ -871,7 +835,7 @@ private:
       ++Cut;
     Payload *NP = chunkMinus<Codec>(A.P, S.data(), Cut);
     releaseChunk(A.P);
-    UpdateBuf Updates(NS - Cut);
+    HeadUpdates Updates(NS - Cut);
     routeGroups(A.T, S.data() + Cut, NS - Cut, Updates,
                 [](const Node *HN, const K *Span, size_t Len) {
                   return chunkMinus<Codec>(HN->Val.get(), Span, Len);

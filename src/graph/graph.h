@@ -41,50 +41,11 @@
 
 namespace aspen {
 
-/// Borrowed-scratch builder for grouped (vertex, edge set) batches — the
-/// shared lifetime protocol of the span batch paths and the sharded
-/// store's shard merges. Entries are placement-new'd into raw scratch
-/// and destroyed (sets released, block returned to the worker cache) on
-/// destruction; merge the finished batch with
-/// GraphSnapshotT::insertGrouped / deleteGrouped. Keys must be strictly
-/// increasing across the filled range.
-template <class EdgeSet> class GroupedBatchT {
-public:
-  using PairT = std::pair<VertexId, EdgeSet>;
-
-  explicit GroupedBatchT(size_t Groups)
-      : Mem(static_cast<PairT *>(
-            ctxAcquire(nullptr, Groups * sizeof(PairT), Cap))) {}
-  GroupedBatchT(const GroupedBatchT &) = delete;
-  GroupedBatchT &operator=(const GroupedBatchT &) = delete;
-  ~GroupedBatchT() {
-    for (size_t I = 0; I < N; ++I)
-      Mem[I].~PairT();
-    ctxRelease(nullptr, Mem, Cap);
-  }
-
-  /// Sequential append.
-  void emplaceBack(VertexId V, EdgeSet S) {
-    new (&Mem[N]) PairT(V, std::move(S));
-    ++N;
-  }
-
-  /// Indexed construction for parallel fills: call setSize(Groups)
-  /// first, then construct every slot in [0, Groups) exactly once
-  /// before the next use (destruction included).
-  void emplaceAt(size_t I, VertexId V, EdgeSet S) {
-    new (&Mem[I]) PairT(V, std::move(S));
-  }
-  void setSize(size_t Size) { N = Size; }
-
-  const PairT *data() const { return Mem; }
-  size_t size() const { return N; }
-
-private:
-  PairT *Mem;
-  size_t Cap;
-  size_t N = 0;
-};
+/// Grouped (vertex, edge set) batch in borrowed scratch — the batch
+/// shape of the span batch paths and the sharded store's shard merges;
+/// merge a finished batch with GraphSnapshotT::insertGrouped /
+/// deleteGrouped.
+template <class EdgeSet> using GroupedBatchT = PairScratch<VertexId, EdgeSet>;
 
 /// Group a batch by source — the one grouping routine of every batch
 /// path (the snapshot span updates and the sharded store's per-shard
@@ -921,96 +882,137 @@ private:
 //===----------------------------------------------------------------------===
 // Graph views: the uniform neighbor-access interface consumed by edgeMap
 // and the algorithms (degree / indexed map / early-exit iteration). Both
-// Aspen views and the static baselines implement this shape.
+// Aspen views and the static baselines implement this shape. Each Aspen
+// view reads S = 2^k hash shards (vertex v lives in shard v & (S - 1)):
+// a single snapshot or flat is the one-shard case, and a sharded store's
+// epoch or hot flat epoch is read through the same two classes.
 //===----------------------------------------------------------------------===
 
 /// View that resolves vertices through the vertex tree on each access
-/// (O(log n) per vertex) - the default for local algorithms.
+/// (O(log n/S) per vertex) - the default for local algorithms. Shard
+/// trees are keyed by global vertex id.
 template <class EdgeSet> class TreeGraphView {
 public:
   using NeighborCursor = typename EdgeSet::View::Cursor;
+  using Snapshot = GraphSnapshotT<EdgeSet>;
 
-  explicit TreeGraphView(const GraphSnapshotT<EdgeSet> &G)
-      : G(&G), Universe(G.vertexUniverse()) {}
+  explicit TreeGraphView(const Snapshot &G)
+      : TreeGraphView(&G, 0, G.vertexUniverse(), G.numEdges()) {}
+  /// The 2^\p LogShards snapshots at \p Shards (which must outlive the
+  /// view) read as one graph over [0, \p Universe) with \p NumEdges
+  /// directed edges.
+  TreeGraphView(const Snapshot *Shards, unsigned LogShards,
+                VertexId Universe, uint64_t NumEdges)
+      : Shards(Shards), Mask(VertexId((size_t(1) << LogShards) - 1)),
+        Universe(Universe), NumEdgesV(NumEdges) {}
 
   VertexId numVertices() const { return Universe; }
-  uint64_t numEdges() const { return G->numEdges(); }
-  uint64_t degree(VertexId V) const { return G->degree(V); }
+  uint64_t numEdges() const { return NumEdgesV; }
+  uint64_t degree(VertexId V) const { return owner(V).degree(V); }
 
-  /// Streaming cursor over \p V's neighbors (graph must stay alive).
+  /// Streaming cursor over \p V's neighbors (shards must stay alive).
   NeighborCursor neighborCursor(VertexId V) const {
-    return G->edgesView(V).cursor();
+    return owner(V).edgesView(V).cursor();
   }
 
   template <class F>
   void mapNeighborsIndexed(VertexId V, const F &Fn) const {
-    G->edgesView(V).forEachIndexed(Fn);
+    owner(V).edgesView(V).forEachIndexed(Fn);
   }
 
   template <class F> void mapNeighbors(VertexId V, const F &Fn) const {
-    G->edgesView(V).forEachSeq(Fn);
+    owner(V).edgesView(V).forEachSeq(Fn);
   }
 
   template <class F> bool iterNeighborsCond(VertexId V, const F &Fn) const {
-    return G->edgesView(V).iterCond(Fn);
+    return owner(V).edgesView(V).iterCond(Fn);
   }
 
   /// Edge-existence probe (O(1) on hot hybrid vertices).
   bool containsEdge(VertexId U, VertexId X) const {
-    return G->containsEdge(U, X);
+    return owner(U).containsEdge(U, X);
   }
 
-  bool hasFastProbe(VertexId U) const { return G->hasFastProbe(U); }
+  bool hasFastProbe(VertexId U) const { return owner(U).hasFastProbe(U); }
 
 private:
-  const GraphSnapshotT<EdgeSet> *G;
+  const Snapshot &owner(VertexId V) const { return Shards[size_t(V & Mask)]; }
+
+  const Snapshot *Shards;
+  VertexId Mask;
   VertexId Universe;
+  uint64_t NumEdgesV;
 };
 
-/// View over a flat snapshot: O(1) vertex access, as in CSR.
+/// View over flat snapshots: O(1) vertex access, as in CSR - a mask, a
+/// shift to the shard-local slot, a range check and two array reads.
+/// Vertices past a shard's slots (beyond the universe, or in a shard
+/// whose own id space ends earlier) read as empty.
 template <class EdgeSet, size_t PageBytes = FlatPageBytes,
           size_t DirFanout = FlatDirFanout>
 class FlatGraphView {
 public:
-  using NeighborCursor = typename EdgeSet::View::Cursor;
+  using SetView = typename EdgeSet::View;
+  using NeighborCursor = typename SetView::Cursor;
   using Flat = FlatSnapshotT<EdgeSet, PageBytes, DirFanout>;
 
-  explicit FlatGraphView(const Flat &FS) : FS(&FS) {}
+  explicit FlatGraphView(const Flat &FS)
+      : FlatGraphView(&FS, 0, FS.numVertices(), FS.numEdges()) {}
+  /// The 2^\p LogShards flats at \p Flats (which must outlive the view;
+  /// slot = v >> LogShards) read as one graph over [0, \p Universe) with
+  /// \p NumEdges directed edges.
+  FlatGraphView(const Flat *Flats, unsigned LogShards, VertexId Universe,
+                uint64_t NumEdges)
+      : Flats(Flats), Mask(VertexId((size_t(1) << LogShards) - 1)),
+        Log(LogShards), Universe(Universe), NumEdgesV(NumEdges) {}
 
-  VertexId numVertices() const { return FS->numVertices(); }
-  uint64_t numEdges() const { return FS->numEdges(); }
-  uint64_t degree(VertexId V) const { return FS->degree(V); }
+  VertexId numVertices() const { return Universe; }
+  uint64_t numEdges() const { return NumEdgesV; }
+  uint64_t degree(VertexId V) const {
+    const Flat &F = Flats[size_t(V & Mask)];
+    VertexId L = V >> Log;
+    return L < F.numVertices() ? F.degree(L) : 0;
+  }
 
-  /// Streaming cursor over \p V's neighbors (snapshot must stay alive).
+  /// Streaming cursor over \p V's neighbors (flats must stay alive).
   NeighborCursor neighborCursor(VertexId V) const {
-    return FS->edges(V).cursor();
+    return slotView(V).cursor();
   }
 
   template <class F>
   void mapNeighborsIndexed(VertexId V, const F &Fn) const {
-    FS->edges(V).forEachIndexed(Fn);
+    slotView(V).forEachIndexed(Fn);
   }
 
   template <class F> void mapNeighbors(VertexId V, const F &Fn) const {
-    FS->edges(V).forEachSeq(Fn);
+    slotView(V).forEachSeq(Fn);
   }
 
   template <class F> bool iterNeighborsCond(VertexId V, const F &Fn) const {
-    return FS->edges(V).iterCond(Fn);
+    return slotView(V).iterCond(Fn);
   }
 
   /// Edge-existence probe (O(1) on hot hybrid vertices).
   bool containsEdge(VertexId U, VertexId X) const {
-    return FS->edges(U).contains(X);
+    return slotView(U).contains(X);
   }
 
-  bool hasFastProbe(VertexId U) const {
-    return FS->edges(U).hasFastProbe();
-  }
+  bool hasFastProbe(VertexId U) const { return slotView(U).hasFastProbe(); }
 
 private:
-  const Flat *FS;
+  SetView slotView(VertexId V) const {
+    const Flat &F = Flats[size_t(V & Mask)];
+    VertexId L = V >> Log;
+    return L < F.numVertices() ? F.edges(L) : SetView{};
+  }
+
+  const Flat *Flats;
+  VertexId Mask;
+  unsigned Log;
+  VertexId Universe;
+  uint64_t NumEdgesV;
 };
+
 
 /// Default Aspen configuration: C-trees with difference encoding.
 using Graph = GraphSnapshotT<CTreeSet<VertexId, DeltaByteCodec>>;

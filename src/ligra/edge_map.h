@@ -45,10 +45,10 @@ namespace aspen {
 //===----------------------------------------------------------------------===
 // The graph-view concept. Everything the Ligra layer (and through it every
 // algorithm) needs from a graph is the six members below; any type that
-// provides them — TreeGraphView, FlatGraphView, the sharded store's
-// composed ShardedGraphStoreT::View, the hot-flat ShardedFlatView over an
-// acquireFlat() epoch, or the static baselines — runs unmodified through
-// edgeMap. The trait makes a non-conforming view fail with one readable
+// provides them — TreeGraphView and FlatGraphView (over one snapshot or
+// flat, or over a sharded store's epoch and acquireFlat() epoch, whose
+// View and FlatView they are), or the static baselines — runs unmodified
+// through edgeMap. The trait makes a non-conforming view fail with one readable
 // static_assert instead of a template-instantiation cascade.
 //===----------------------------------------------------------------------===
 
@@ -106,10 +106,10 @@ template <class V>
 inline constexpr bool IsGraphViewV = detail::IsGraphView<V>::value;
 
 /// True when \p V also exposes the streaming neighborCursor surface.
-/// edgeMap itself never requires it, but every Aspen view (tree, flat,
-/// sharded, sharded-flat) provides it uniformly so cursor-driven code is
-/// view-agnostic; the flat differential tests assert this trait for all
-/// four.
+/// edgeMap itself never requires it, but both Aspen views (tree and
+/// flat, at any shard count) provide it so cursor-driven code is
+/// view-agnostic; the flat differential tests assert this trait for
+/// both.
 template <class V>
 inline constexpr bool HasNeighborCursorV =
     detail::HasNeighborCursor<V>::value;

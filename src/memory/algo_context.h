@@ -23,9 +23,9 @@
 // Memory bounds: by design the caches keep their largest-ever blocks
 // (that is the steady-state zero-alloc contract), so a context that once
 // ran a hub-sized query would retain O(m) blocks until clear(). A caller
-// that may see an outlier request size bounds that request
-// (BoundedCtxArray, two_hop's guard): requests above the bound are served
-// from transient heap, freed on release and never cached anywhere.
+// that may see an outlier request size bounds that request (CtxArray's
+// bounded constructor, two_hop's guard): requests above the bound are
+// served from transient heap, freed on release and never cached anywhere.
 // Transient blocks are identified by a zero capacity (real blocks always
 // have Cap >= 4096 from the scratch rounding).
 //
@@ -39,6 +39,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <new>
+#include <utility>
 
 namespace aspen {
 
@@ -145,11 +147,24 @@ public:
       : Ctx(Ctx), Mem(static_cast<T *>(ctxAcquire(Ctx, N * sizeof(T), Cap))),
         Sz(N) {}
   CtxArray(AlgoContext &Ctx, size_t N) : CtxArray(&Ctx, N) {}
+  /// With a per-request byte bound: above \p BoundBytes the array lives
+  /// on transient heap until destruction, so a single hub-sized query
+  /// cannot pin an O(m) block in the context or the per-worker caches
+  /// (two_hop's outlier guard).
+  CtxArray(AlgoContext *Ctx, size_t N, size_t BoundBytes)
+      : Ctx(Ctx), Mem(static_cast<T *>(ctxAcquireBounded(
+                      Ctx, N * sizeof(T), BoundBytes, Cap))),
+        Sz(N) {}
+  CtxArray(AlgoContext &Ctx, size_t N, size_t BoundBytes)
+      : CtxArray(&Ctx, N, BoundBytes) {}
   /// Context-less borrow straight from the per-worker scratch cache.
   explicit CtxArray(size_t N) : CtxArray(nullptr, N) {}
   CtxArray(const CtxArray &) = delete;
   CtxArray &operator=(const CtxArray &) = delete;
   ~CtxArray() { ctxRelease(Ctx, Mem, Cap); }
+
+  /// Whether this array fell back to transient heap.
+  bool transient() const { return Cap == TransientCap; }
 
   T *data() { return Mem; }
   const T *data() const { return Mem; }
@@ -166,37 +181,50 @@ private:
   size_t Sz;
 };
 
-/// CtxArray with a per-request byte bound: outlier sizes bypass the
-/// workspace entirely and live on transient heap until destruction, so a
-/// single hub-sized query cannot pin an O(m) block in the context or the
-/// per-worker caches. This is the reusable form of two_hop's original
-/// outlier guard.
-template <class T> class BoundedCtxArray {
+/// Borrowed-scratch buffer of (key, value) pairs whose value is not
+/// trivially destructible (an edge set, a chunk reference), so CtxArray
+/// does not apply: entries are placement-new'd into a block borrowed from
+/// the per-worker scratch cache, and destruction destroys them (releasing
+/// the values) and returns the block. The one lifetime protocol of
+/// graph.h's grouped batches (GroupedBatchT) and the C-tree's batch
+/// updates, whose tree builds and merges copy the pairs they keep. Keys
+/// must be strictly increasing across the filled range.
+template <class Key, class Val> class PairScratch {
 public:
-  BoundedCtxArray(AlgoContext *Ctx, size_t N, size_t BoundBytes)
-      : Ctx(Ctx), Mem(static_cast<T *>(ctxAcquireBounded(
-                      Ctx, N * sizeof(T), BoundBytes, Cap))),
-        Sz(N) {}
-  BoundedCtxArray(AlgoContext &Ctx, size_t N, size_t BoundBytes)
-      : BoundedCtxArray(&Ctx, N, BoundBytes) {}
-  BoundedCtxArray(const BoundedCtxArray &) = delete;
-  BoundedCtxArray &operator=(const BoundedCtxArray &) = delete;
-  ~BoundedCtxArray() { ctxRelease(Ctx, Mem, Cap); }
+  using PairT = std::pair<Key, Val>;
 
-  /// Whether this array fell back to transient heap.
-  bool transient() const { return Cap == TransientCap; }
+  explicit PairScratch(size_t MaxPairs)
+      : Mem(static_cast<PairT *>(
+            ctxAcquire(nullptr, MaxPairs * sizeof(PairT), Cap))) {}
+  PairScratch(const PairScratch &) = delete;
+  PairScratch &operator=(const PairScratch &) = delete;
+  ~PairScratch() {
+    for (size_t I = 0; I < N; ++I)
+      Mem[I].~PairT();
+    ctxRelease(nullptr, Mem, Cap);
+  }
 
-  T *data() { return Mem; }
-  const T *data() const { return Mem; }
-  size_t size() const { return Sz; }
-  T &operator[](size_t I) { return Mem[I]; }
-  const T &operator[](size_t I) const { return Mem[I]; }
+  /// Sequential append.
+  void emplaceBack(Key K, Val V) {
+    new (&Mem[N]) PairT(K, std::move(V));
+    ++N;
+  }
+
+  /// Indexed construction for parallel fills: call setSize(Pairs)
+  /// first, then construct every slot in [0, Pairs) exactly once
+  /// before the next use (destruction included).
+  void emplaceAt(size_t I, Key K, Val V) {
+    new (&Mem[I]) PairT(K, std::move(V));
+  }
+  void setSize(size_t Size) { N = Size; }
+
+  const PairT *data() const { return Mem; }
+  size_t size() const { return N; }
 
 private:
-  AlgoContext *Ctx;
-  T *Mem;
+  PairT *Mem;
   size_t Cap;
-  size_t Sz;
+  size_t N = 0;
 };
 
 } // namespace aspen

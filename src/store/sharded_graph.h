@@ -50,16 +50,18 @@
 // batch keeps its own WAL record). Set semantics make the result
 // byte-identical to one-at-a-time ingest (DESIGN.md Section 8).
 //
-// Readers compose the per-shard snapshots behind ShardedGraphView, which
-// implements the same graph-view concept (numVertices / numEdges / degree
-// / neighborCursor / mapNeighbors* / iterNeighborsCond) that edgeMap and
-// all the algorithms are templated over, so analytics run unmodified —
-// and bit-identically — on a sharded acquire.
+// Readers read an epoch through View — graph.h's TreeGraphView over the
+// epoch's S shard snapshots — which implements the graph-view concept
+// (numVertices / numEdges / degree / neighborCursor / mapNeighbors* /
+// iterNeighborsCond) that edgeMap and all the algorithms are templated
+// over, so analytics run unmodified — and bit-identically — on a
+// sharded acquire.
 //
 // acquireFlat() additionally maintains a hot flat rendering of the
 // current epoch — per-shard FlatSnapshotTs (two-level copy-on-write page
-// tables) indexed by shard-local id, composed behind ShardedFlatView for O(1) vertex access
-// — refreshed batch-to-batch from the merge pipeline's touched-vertex
+// tables) indexed by shard-local id, read through FlatView (graph.h's
+// FlatGraphView over the S flats) for O(1) vertex access — refreshed
+// batch-to-batch from the merge pipeline's touched-vertex
 // digests instead of rebuilt (DESIGN.md Section 4).
 //
 //===----------------------------------------------------------------------===//
@@ -197,8 +199,12 @@ public:
     VertexId Universe = 0;  ///< max materialized vertex id + 1
   };
 
-  class View;
-  class FlatView;
+  /// Graph-view over an epoch: vertex resolution costs one shard pick
+  /// (a mask) plus an O(log n/S) lookup in the owning shard's tree.
+  using View = TreeGraphView<EdgeSet>;
+  /// Graph-view over a FlatEpoch: a mask, a shift, a range check and two
+  /// array reads.
+  using FlatView = FlatGraphView<EdgeSet>;
 
   /// RAII reader handle to an acquired epoch (releasing is automatic).
   /// It owns a reference to the epoch, so it may outlive the store.
@@ -218,7 +224,11 @@ public:
     const Snapshot &shard(size_t S) const { return epoch().Shards[S]; }
 
     /// Graph-view over the whole epoch; this handle must outlive it.
-    View view() const { return View(epoch()); }
+    View view() const {
+      const Epoch &Ep = epoch();
+      return View(Ep.Shards.data(), detail::log2Floor(Ep.Shards.size()),
+                  Ep.Universe, Ep.NumEdges);
+    }
 
     bool valid() const { return E != nullptr; }
     void reset() { E.reset(); }
@@ -416,76 +426,11 @@ public:
   }
 
   //===--------------------------------------------------------------------===
-  // Composed reader view.
-  //===--------------------------------------------------------------------===
-
-  /// Graph-view concept over an acquired epoch: vertex resolution costs
-  /// one shard pick (a mask) plus an O(log n/S) lookup in the owning
-  /// shard's vertex tree. The epoch (its Ref) must outlive the view.
-  class View {
-  public:
-    using NeighborCursor = typename EdgeSet::View::Cursor;
-
-    explicit View(const Epoch &E)
-        : E(&E), Mask(VertexId(E.Shards.size() - 1)) {}
-
-    VertexId numVertices() const { return E->Universe; }
-    uint64_t numEdges() const { return E->NumEdges; }
-    uint64_t degree(VertexId V) const { return owner(V).degree(V); }
-
-    /// Streaming cursor over \p V's neighbors (epoch must stay alive).
-    NeighborCursor neighborCursor(VertexId V) const {
-      return owner(V).edgesView(V).cursor();
-    }
-
-    template <class F>
-    void mapNeighborsIndexed(VertexId V, const F &Fn) const {
-      owner(V).edgesView(V).forEachIndexed(Fn);
-    }
-
-    template <class F> void mapNeighbors(VertexId V, const F &Fn) const {
-      owner(V).edgesView(V).forEachSeq(Fn);
-    }
-
-    template <class F>
-    bool iterNeighborsCond(VertexId V, const F &Fn) const {
-      return owner(V).edgesView(V).iterCond(Fn);
-    }
-
-    /// Edge-existence probe (O(1) on hot hybrid vertices).
-    bool containsEdge(VertexId U, VertexId X) const {
-      return owner(U).containsEdge(U, X);
-    }
-
-    bool hasFastProbe(VertexId U) const {
-      return owner(U).hasFastProbe(U);
-    }
-
-    /// Parallel traversal over (vertex, edge set) entries of every shard
-    /// (unordered across shards, like GraphSnapshotT::forEachVertex).
-    template <class F> void forEachVertex(const F &Fn) const {
-      for (const Snapshot &S : E->Shards)
-        S.forEachVertex(Fn);
-    }
-
-    size_t numShards() const { return E->Shards.size(); }
-    const Snapshot &shard(size_t S) const { return E->Shards[S]; }
-
-  private:
-    const Snapshot &owner(VertexId V) const {
-      return E->Shards[size_t(V & Mask)];
-    }
-
-    const Epoch *E;
-    VertexId Mask;
-  };
-
-  //===--------------------------------------------------------------------===
   // Hot-epoch flat snapshots (DESIGN.md Section 4): per-shard
-  // copy-on-write flat snapshots indexed by shard-local id, maintained epoch-to-epoch from
-  // the ingest pipeline's touched digests and composed behind a graph
-  // view, so analytics get O(1) vertex access on the latest epoch
-  // without an O(n) rebuild per batch.
+  // copy-on-write flat snapshots indexed by shard-local id, maintained
+  // epoch-to-epoch from the ingest pipeline's touched digests and read
+  // through FlatView, so analytics get O(1) vertex access on the latest
+  // epoch without an O(n) rebuild per batch.
   //===--------------------------------------------------------------------===
 
   using Flat = FlatSnapshotT<EdgeSet>;
@@ -501,70 +446,9 @@ public:
 
     /// Graph-view over this flat epoch; the FlatEpoch (its shared_ptr)
     /// must outlive the view.
-    FlatView view() const { return FlatView(*this); }
-  };
-
-  /// Graph-view concept over a FlatEpoch: vertex resolution is a mask,
-  /// a shift, and two array reads — O(1) like FlatGraphView, composed
-  /// across shards. Satisfies IsGraphViewV, so every algorithm runs
-  /// unmodified (and bit-identically; see the flat differential tests).
-  class FlatView {
-  public:
-    using SetView = typename EdgeSet::View;
-    using NeighborCursor = typename SetView::Cursor;
-
-    explicit FlatView(const FlatEpoch &FE)
-        : FE(&FE), Mask(VertexId(FE.Flats.size() - 1)),
-          Log(unsigned(FE.LogShards)) {}
-
-    VertexId numVertices() const { return FE->Universe; }
-    uint64_t numEdges() const { return FE->NumEdges; }
-    uint64_t degree(VertexId V) const {
-      const Flat &F = FE->Flats[size_t(V & Mask)];
-      VertexId L = V >> Log;
-      return L < F.numVertices() ? F.degree(L) : 0;
+    FlatView view() const {
+      return FlatView(Flats.data(), unsigned(LogShards), Universe, NumEdges);
     }
-
-    /// Streaming cursor over \p V's neighbors (epoch must stay alive).
-    NeighborCursor neighborCursor(VertexId V) const {
-      return slotView(V).cursor();
-    }
-
-    template <class F>
-    void mapNeighborsIndexed(VertexId V, const F &Fn) const {
-      slotView(V).forEachIndexed(Fn);
-    }
-
-    template <class F> void mapNeighbors(VertexId V, const F &Fn) const {
-      slotView(V).forEachSeq(Fn);
-    }
-
-    template <class F>
-    bool iterNeighborsCond(VertexId V, const F &Fn) const {
-      return slotView(V).iterCond(Fn);
-    }
-
-    /// Edge-existence probe (O(1) on hot hybrid vertices).
-    bool containsEdge(VertexId U, VertexId X) const {
-      return slotView(U).contains(X);
-    }
-
-    bool hasFastProbe(VertexId U) const {
-      return slotView(U).hasFastProbe();
-    }
-
-  private:
-    /// The vertex universe is epoch-global; shards whose own id space
-    /// ends earlier resolve out-of-range vertices to the empty view.
-    SetView slotView(VertexId V) const {
-      const Flat &F = FE->Flats[size_t(V & Mask)];
-      VertexId L = V >> Log;
-      return L < F.numVertices() ? F.edges(L) : SetView{};
-    }
-
-    const FlatEpoch *FE;
-    VertexId Mask;
-    unsigned Log;
   };
 
   /// Flat rendering of the current epoch, maintained as a hot cache: an

@@ -173,13 +173,13 @@ TEST(AlgoContext, BoundedCtxArrayOutlierGuard) {
   int Cached0 = Ctx.cachedBlocks();
   {
     // Within the bound: a normal workspace borrow.
-    BoundedCtxArray<VertexId> Small(Ctx, 1000, 1 << 20);
+    CtxArray<VertexId> Small(Ctx, 1000, 1 << 20);
     EXPECT_FALSE(Small.transient());
     Small[999] = 42;
   }
   {
     // Outlier: transient heap, pinned nowhere.
-    BoundedCtxArray<VertexId> Huge(Ctx, (4u << 20), 1 << 20);
+    CtxArray<VertexId> Huge(Ctx, (4u << 20), 1 << 20);
     EXPECT_TRUE(Huge.transient());
     Huge[(4u << 20) - 1] = 7;
   }

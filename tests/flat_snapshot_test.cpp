@@ -6,8 +6,9 @@
 // vertex-universe growth) on the store at one shard and at four, the
 // refresh-vs-rebuild policy (threshold, cache hits), page sharing,
 // refresh at the page and directory edges of the two-level page table on
-// both stores, the hand-off of a superseded flat epoch, and graph-view
-// trait coverage of the flat views.
+// both stores, the hand-off of a superseded flat epoch, graph-view
+// trait coverage of the flat views, and empty reads of vertices past the
+// universe through every view.
 //
 //===----------------------------------------------------------------------===//
 
@@ -123,6 +124,41 @@ TEST(FlatPaged, MemoryBytesAccountsPageMetadata) {
   EXPECT_GT(FS.memoryBytes(), SlotBytes);
   EXPECT_LT(FS.memoryBytes(), SlotBytes + FS.numPages() * 64 +
                                   (FS.numPages() + 1) * sizeof(void *) * 2);
+}
+
+TEST(FlatPaged, VerticesBeyondUniverseReadEmpty) {
+  // Vertex 100000 is only an edge target: it lies past every slot of the
+  // single flat and of each shard's flat, so every view must read it as
+  // an empty vertex instead of indexing past the page table.
+  const std::vector<EdgePair> Edges = {{0, 100000}, {1, 2}};
+  const VertexId Far = 100000;
+  Graph G = Graph::fromEdges(4, Edges);
+  FlatSnapshot FS(G);
+  uint64_t Expected = 0;
+  G.findVertex(0).forEachSeq([&](VertexId U) { Expected += G.degree(U); });
+
+  auto Check = [&](const auto &V, const char *Name) {
+    SCOPED_TRACE(Name);
+    EXPECT_EQ(V.degree(Far), 0u);
+    size_t Visited = 0;
+    V.mapNeighbors(Far, [&](VertexId) { ++Visited; });
+    EXPECT_EQ(Visited, 0u);
+    EXPECT_TRUE(V.neighborCursor(Far).done());
+    EXPECT_FALSE(V.containsEdge(Far, 0));
+    uint64_t Sum = 0;
+    V.mapNeighbors(0, [&](VertexId U) { Sum += V.degree(U); });
+    EXPECT_EQ(Sum, Expected);
+  };
+  Check(TreeGraphView(G), "tree");
+  Check(FlatGraphView(FS), "flat");
+  for (size_t S : {1, 4}) {
+    ShardedGraphStore Store(S, 4, Edges);
+    auto R = Store.acquire();
+    auto FE = Store.acquireFlat();
+    SCOPED_TRACE(testing::Message() << "S=" << S);
+    Check(R.view(), "store view");
+    Check(FE->view(), "store flat view");
+  }
 }
 
 //===----------------------------------------------------------------------===
