@@ -1,15 +1,17 @@
 //===- bench/bench_serving.cpp - Multi-tenant snapshot serving ------------===//
 //
 // The serving subsystem end to end (DESIGN.md Section 8): how much a
-// contended same-shard writer stream gains from the coalescing +
-// pipelining ingest front, what sustained query throughput looks like
+// contended same-shard writer stream gains from coalesced installs,
+// what sustained query throughput looks like
 // while a writer streams batches (latency percentiles, epoch lag,
 // coalescing behavior), and that overload degrades to load shedding with
 // bounded latency for admitted queries rather than collapse.
 //
 // Reported rows:
-//   serve/coalesce/*        4-writer hot-shard ingest: front vs serialized
-//                           one-batch-at-a-time (acceptance: >= 1.5x)
+//   serve/coalesce/*        4-writer hot-shard ingest: coalesced installs
+//                           vs serialized one-batch-at-a-time (acceptance:
+//                           >= 1.5x); front_* submit through a 2-worker
+//                           server
 //   serve/qps/<store>/*     sustained queries/sec under concurrent ingest
 //                           with p50/p99/p999 latency and epoch lag, on
 //                           the default hybrid store and on chunked
@@ -54,7 +56,7 @@ void reportTime(const std::string &Key, double Seconds) {
 }
 
 /// Batches that all land on shard 0 of an S-shard store: the contended
-/// writer stream the coalescing front targets.
+/// writer stream that coalesced installs target.
 std::vector<std::vector<EdgePair>> hotShardBatches(VertexId N, size_t Shards,
                                                    size_t NumBatches,
                                                    size_t BatchSize,
@@ -73,7 +75,7 @@ std::vector<std::vector<EdgePair>> hotShardBatches(VertexId N, size_t Shards,
 }
 
 //===----------------------------------------------------------------------===
-// Section A: writer coalescing + pipelining vs serialized ingest.
+// Section A: writer coalescing vs serialized ingest.
 //===----------------------------------------------------------------------===
 
 void benchCoalesce(const BenchConfig &C) {
@@ -97,9 +99,9 @@ void benchCoalesce(const BenchConfig &C) {
   };
 
   // Coalesced installs: the same stream in groups of `Writers` merged
-  // spans — exactly what the ingest front installs when the 4 writers'
-  // batches queue up behind the shard locks. One tree-merge pass over
-  // the hot shard per group instead of per batch.
+  // spans — what the server's writer installs when the 4 writers'
+  // batches queue up behind an install. One tree-merge pass over the
+  // hot shard per group instead of per batch.
   auto RunCoalesced = [&] {
     ShardedGraphStore S(Shards, N);
     for (size_t G = 0; G < Batches.size(); G += Writers) {
@@ -110,25 +112,27 @@ void benchCoalesce(const BenchConfig &C) {
     }
   };
 
-  // The live front: 4 concurrent writers submitting through
-  // IngestFrontT. Group formation depends on writers actually queueing
-  // behind each other, so on a single-core host this degenerates toward
-  // the serialized shape (a client can't enqueue while the combiner has
-  // the only CPU); on multicore it adds prepare/install overlap on top
-  // of the coalescing above.
+  // The live path: 4 client threads submitting to a 2-worker server.
+  // The worker holding the write class installs the same-kind batches
+  // queued behind it as one group, so group formation depends on clients
+  // queueing batches while an install runs.
   uint64_t Installs = 0, MaxGroup = 0, Coalesced = 0;
   auto RunFront = [&] {
     ShardedGraphStore S(Shards, N);
-    IngestFrontT<ShardedGraphStore> Front(S);
+    SnapshotServerT<ShardedGraphStore>::Options O;
+    O.Workers = 2;
+    SnapshotServerT<ShardedGraphStore> Server(S, O);
     std::vector<std::thread> Ts;
     for (size_t W = 0; W < Writers; ++W)
       Ts.emplace_back([&, W] {
         for (size_t B = 0; B < PerWriter; ++B)
-          Front.insertBatch(Batches[W * PerWriter + B]);
+          while (!Server.submitInsert(Batches[W * PerWriter + B]))
+            std::this_thread::yield();
       });
     for (auto &T : Ts)
       T.join();
-    auto St = Front.stats();
+    Server.drain();
+    auto St = Server.stats().Front;
     Installs = St.Installs;
     MaxGroup = St.MaxGroup;
     Coalesced = St.Coalesced;

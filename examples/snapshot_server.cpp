@@ -8,7 +8,7 @@
 //   - queries running on their worker's own AlgoContext with per-query
 //     snapshot pins (each sees one consistent epoch; the context is
 //     reused allocation-free),
-//   - writer batches coalescing in the ingest front,
+//   - writer batches queued behind an install coalescing into one group,
 //   - load shedding: offered load beyond the queue bound is rejected
 //     up front instead of growing an unbounded backlog,
 //   - the final stats line: admitted/shed, epoch lag, coalesced groups.

@@ -41,12 +41,6 @@
 
 namespace aspen {
 
-/// Grouped (vertex, edge set) batch in borrowed scratch — the batch
-/// shape of the span batch paths and the sharded store's shard merges;
-/// merge a finished batch with GraphSnapshotT::insertGrouped /
-/// deleteGrouped.
-template <class EdgeSet> using GroupedBatchT = PairScratch<VertexId, EdgeSet>;
-
 /// Group a batch by source — the one grouping routine of every batch
 /// path (the snapshot span updates and the sharded store's per-shard
 /// prepare): sort the edges, drop duplicates, and build one (source,
@@ -63,7 +57,7 @@ template <class EdgeSet> using GroupedBatchT = PairScratch<VertexId, EdgeSet>;
 template <class EdgeSet>
 void groupSpan(const EdgePair *Edges, size_t K,
                typename EdgeSet::BuildParams P,
-               std::optional<GroupedBatchT<EdgeSet>> &Pairs,
+               std::optional<PairScratch<VertexId, EdgeSet>> &Pairs,
                std::vector<VertexId> *TouchedOut) {
   static_assert(sizeof(VertexId) == 4, "a sort key packs two vertex ids");
   assert(K > 0 && "groupSpan of an empty batch");
@@ -212,7 +206,7 @@ public:
     size_t *ShardLoP = ShardLo.data();
     splitByShard(Edges, K, S, PartsP, ShardLoP);
     parallelFor(0, S, [&](size_t Sh) {
-      std::optional<GroupedBatchT<EdgeSet>> Groups;
+      std::optional<PairScratch<VertexId, EdgeSet>> Groups;
       size_t Lo = ShardLoP[Sh], Hi = ShardLoP[Sh + 1];
       if (Hi > Lo)
         groupSpan<EdgeSet>(PartsP + Lo, Hi - Lo, P, Groups, nullptr);
@@ -446,7 +440,7 @@ private:
                              std::vector<VertexId> *TouchedOut) const {
     if (K == 0)
       return *this;
-    std::optional<GroupedBatchT<EdgeSet>> Pairs;
+    std::optional<PairScratch<VertexId, EdgeSet>> Pairs;
     groupSpan<EdgeSet>(Edges, K, Params, Pairs, TouchedOut);
     return Insert ? insertGrouped(Pairs->data(), Pairs->size())
                   : deleteGrouped(Pairs->data(), Pairs->size());

@@ -186,9 +186,9 @@ private:
 /// does not apply: entries are placement-new'd into a block borrowed from
 /// the per-worker scratch cache, and destruction destroys them (releasing
 /// the values) and returns the block. The one lifetime protocol of
-/// graph.h's grouped batches (GroupedBatchT) and the C-tree's batch
-/// updates, whose tree builds and merges copy the pairs they keep. Keys
-/// must be strictly increasing across the filled range.
+/// graph.h's grouped batches and the C-tree's batch updates, whose tree
+/// builds and merges copy the pairs they keep. Keys must be strictly
+/// increasing across the filled range.
 template <class Key, class Val> class PairScratch {
 public:
   using PairT = std::pair<Key, Val>;

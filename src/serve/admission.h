@@ -14,12 +14,21 @@
 // unconditionally (work conserving — credits only throttle against
 // actual waiting work).
 //
-// Wake path: an idle worker first polls the queued count for SpinWindow
-// and only then parks on the condition variable, because waking a parked
-// thread costs far more than a flat-hit query does. At most one worker
-// polls at a time; the others park at once, so an idle server costs one
-// core for one window and then nothing. A push notifies only a parked
-// worker, and only when the poller cannot take the item itself.
+// Write groups: popGroup() hands a consumer that batches writes the
+// maximal run of queued writes its predicate groups with the first, and
+// holds the write class until releaseWrites(). While it is held no other
+// pop takes a write, so groups are taken, and can be installed, strictly
+// in submission order. A group is one write for the fairness credit.
+//
+// Wake path: an idle worker first polls the available count for
+// SpinWindow and only then parks on the condition variable, because
+// waking a parked thread costs far more than a flat-hit query does. At
+// most one worker polls at a time; the others park at once, so an idle
+// server costs one core for one window and then nothing. A push notifies
+// only a parked worker, and only when the poller cannot take the item
+// itself. The write class counts as one available item while it is free
+// and non-empty, and as none while held, so writes queued behind a held
+// group neither wake a worker nor keep the poller spinning.
 //
 //===----------------------------------------------------------------------===//
 
@@ -36,6 +45,7 @@
 #include <mutex>
 #include <optional>
 #include <utility>
+#include <vector>
 
 namespace aspen {
 
@@ -90,41 +100,63 @@ public:
       ++(C == RequestClass::Read ? St.AdmittedReads : St.AdmittedWrites);
       // A polling worker takes one item without being woken; anything
       // beyond that needs a parked worker.
-      size_t Depth = Queued.fetch_add(1) + 1;
-      Wake = Parked && (Depth > 1 || !Polling.load());
+      size_t Before = Available.load();
+      size_t Now = recount();
+      Wake = Parked && Now > Before && (Now > 1 || !Polling.load());
     }
     if (Wake)
       CV.notify_one();
     return true;
   }
 
-  /// Blocking weighted-fair pop. Returns nullopt only when the queue is
-  /// stopped AND drained — admitted requests are always served.
+  /// Blocking weighted-fair pop of one request. Returns nullopt only when
+  /// the queue is stopped and nothing is left that this caller may take
+  /// (writes held by a popGroup() caller are its to serve).
   std::optional<std::pair<RequestClass, Req>> pop() {
     std::unique_lock<std::mutex> L(M, std::defer_lock);
-    for (;;) {
-      if (Queued.load()) {
-        L.lock();
-        if (Queued.load())
-          return take();
-        L.unlock(); // another worker won the item: poll again
+    if (!await(L))
+      return std::nullopt;
+    return take();
+  }
+
+  /// As pop(), into \p Group (cleared first). A read comes alone. A write
+  /// comes with the writes queued right behind it that \p Same(first,
+  /// next) accepts, FIFO, up to \p Max in all, and holds the write class:
+  /// the caller must call releaseWrites() once the group is done.
+  template <class SameFn>
+  std::optional<RequestClass> popGroup(std::vector<Req> &Group, size_t Max,
+                                       SameFn Same) {
+    std::unique_lock<std::mutex> L(M, std::defer_lock);
+    if (!await(L))
+      return std::nullopt;
+    auto Taken = take();
+    Group.clear();
+    Group.push_back(std::move(Taken.second));
+    if (Taken.first == RequestClass::Write) {
+      while (Group.size() < Max && !Writes.empty() &&
+             Same(Group.front(), Writes.front())) {
+        Group.push_back(std::move(Writes.front()));
+        Writes.pop_front();
       }
-      if (!Polling.exchange(true)) {
-        poll();
-        Polling.store(false);
-        if (Queued.load())
-          continue;
-      }
-      L.lock();
-      ++Parked;
-      CV.wait(L, [&] {
-        return Stopped.load(std::memory_order_relaxed) || Queued.load();
-      });
-      --Parked;
-      if (!Queued.load())
-        return std::nullopt; // stopped and drained
-      return take();
+      WritesHeld = true;
+      recount();
     }
+    return Taken.first;
+  }
+
+  /// Give back the write class a popGroup() write took. The caller pops
+  /// again next, so it takes one newly available item itself; a parked
+  /// worker is woken only for more than that.
+  void releaseWrites() {
+    bool Wake;
+    {
+      std::lock_guard<std::mutex> L(M);
+      WritesHeld = false;
+      size_t Now = recount();
+      Wake = Parked && Now > 1;
+    }
+    if (Wake)
+      CV.notify_one();
   }
 
   /// Stop admitting; wake all poppers and end a poll. Already-admitted
@@ -137,24 +169,46 @@ public:
     CV.notify_all();
   }
 
-  bool stopped() const { return Stopped.load(std::memory_order_relaxed); }
-
-  size_t depth(RequestClass C) const {
-    std::lock_guard<std::mutex> L(M);
-    return (C == RequestClass::Read ? Reads : Writes).size();
-  }
-
   Stats stats() const {
     std::lock_guard<std::mutex> L(M);
     return St;
   }
 
 private:
-  /// Wait, without the lock, until an item is queued, stop() is called
-  /// or SpinWindow has passed.
+  /// Wait until an item is available (true, with \p L locked) or the
+  /// queue is stopped with nothing available (false, unlocked).
+  bool await(std::unique_lock<std::mutex> &L) {
+    for (;;) {
+      if (Available.load()) {
+        L.lock();
+        if (Available.load())
+          return true;
+        L.unlock(); // another worker won the item: poll again
+      }
+      if (!Polling.exchange(true)) {
+        poll();
+        Polling.store(false);
+        if (Available.load())
+          continue;
+      }
+      L.lock();
+      ++Parked;
+      CV.wait(L, [&] {
+        return Stopped.load(std::memory_order_relaxed) || Available.load();
+      });
+      --Parked;
+      if (Available.load())
+        return true;
+      L.unlock(); // stopped and drained
+      return false;
+    }
+  }
+
+  /// Wait, without the lock, until an item is available, stop() is
+  /// called or SpinWindow has passed.
   void poll() const {
     auto Deadline = std::chrono::steady_clock::now() + SpinWindow;
-    for (unsigned Step = 1; !Queued.load(std::memory_order_acquire) &&
+    for (unsigned Step = 1; !Available.load(std::memory_order_acquire) &&
                             !Stopped.load(std::memory_order_relaxed);
          ++Step) {
       spinStep(Step, 8);
@@ -163,27 +217,32 @@ private:
     }
   }
 
-  /// Weighted-fair dequeue of one item; M held and an item queued.
+  /// A write may be taken: one is queued and no popGroup() holds the
+  /// class. M held.
+  bool writeReady() const { return !WritesHeld && !Writes.empty(); }
+
+  /// Republish Available from the queues; M held. Returns the new count.
+  size_t recount() {
+    size_t N = Reads.size() + writeReady();
+    Available.store(N);
+    return N;
+  }
+
+  /// Weighted-fair dequeue of one item; M held and an item available.
   std::pair<RequestClass, Req> take() {
-    Queued.fetch_sub(1);
-    bool TakeWrite;
-    if (Writes.empty())
-      TakeWrite = false;
-    else if (Reads.empty())
-      TakeWrite = true;
-    else
-      TakeWrite = Credit == 0; // both waiting: spend read credit first
-    if (TakeWrite) {
+    // Both waiting: spend read credit first.
+    bool TakeWrite = writeReady() && (Reads.empty() || Credit == 0);
+    if (TakeWrite)
       Credit = ReadsPerWrite;
-      Req R = std::move(Writes.front());
-      Writes.pop_front();
-      return std::make_pair(RequestClass::Write, std::move(R));
-    }
-    if (!Writes.empty() && Credit)
+    else if (writeReady() && Credit)
       --Credit; // only charge credit while a write actually waits
-    Req R = std::move(Reads.front());
-    Reads.pop_front();
-    return std::make_pair(RequestClass::Read, std::move(R));
+    std::deque<Req> &Q = TakeWrite ? Writes : Reads;
+    std::pair<RequestClass, Req> Out(
+        TakeWrite ? RequestClass::Write : RequestClass::Read,
+        std::move(Q.front()));
+    Q.pop_front();
+    recount();
+    return Out;
   }
 
   Options O;
@@ -192,8 +251,9 @@ private:
   std::deque<Req> Reads, Writes;
   unsigned Credit = ReadsPerWrite;
   Stats St;
-  /// Reads.size() + Writes.size(), readable without M (written under M).
-  std::atomic<size_t> Queued{0};
+  bool WritesHeld = false; ///< a popGroup() write group is out (under M)
+  /// Reads.size() + writeReady(), readable without M (written under M).
+  std::atomic<size_t> Available{0};
   std::atomic<bool> Stopped{false}; ///< written under M
   std::atomic<bool> Polling{false}; ///< a worker is in poll()
   unsigned Parked = 0;              ///< workers waiting on CV (under M)

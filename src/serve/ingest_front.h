@@ -1,36 +1,19 @@
-//===- serve/ingest_front.h - Coalescing, pipelining writer front ---------===//
+//===- serve/ingest_front.h - Coalesced group installer -------------------===//
 //
-// The per-store ingest front-queue (DESIGN.md Section 8). Concurrent
-// writer threads submit batches here instead of calling the store
-// directly; the front turns a contended same-shard writer stream — which
-// would serialize end-to-end on the shard writer locks — into:
+// The per-store write installer of the snapshot server (DESIGN.md
+// Section 8). The server's admission queue is its only write queue: the
+// one worker that holds the write class pops the maximal same-kind FIFO
+// prefix of queued batches (capped at MaxCoalesce) and hands it here as
+// one group. install() prepares the group's spans (split + group/sort +
+// edge-set builds) and commits them as a single epoch advancing BatchSeq
+// by the group size. Set semantics make the result byte-identical to
+// one-at-a-time ingest, and each batch keeps its own sequence number and
+// WAL record.
 //
-//   1. COALESCING: while one group holds the shard locks, every batch
-//      that queues up behind it is drained as one merged span (a maximal
-//      same-kind FIFO prefix, capped at MaxCoalesce). The store installs
-//      the merged span as a single epoch advancing BatchSeq by the group
-//      size; set semantics make the result byte-identical to
-//      one-at-a-time ingest, and each batch keeps its own sequence
-//      number and WAL record.
-//   2. PIPELINING: the drained group's prepare phase (split + group/sort
-//      + edge-set builds — the CPU-heavy part) runs with no locks held,
-//      overlapping the predecessor group's merge/install. One group
-//      prepares at a time (bounding scratch footprint); commits retire
-//      in strict FIFO ticket order, so acknowledgement order equals
-//      submission order.
-//
-// The combining thread is one of the submitters (flat combining): a
-// submitter whose request is still queued and who finds no active
-// preparer drains the next group and drives it to completion — possibly
-// helping requests ahead of its own — then rechecks. Batches are
-// acknowledged (submit returns the batch's own sequence number) only
-// after their group's install is published and, on a durable store,
-// group-committed.
-//
-// FIFO commit ordering means the front serializes installs even when
-// consecutive groups touch disjoint shards; the front is the right tool
-// for hot-shard writer streams, while uncorrelated writers can still
-// call the store directly and merge concurrently.
+// The front keeps no queue of its own: ordering comes from the caller.
+// Because one group is in flight at a time, installs, sequence numbers
+// and acknowledgements follow submission order. insertBatch/deleteBatch
+// are the one-batch case, for callers that write without a server.
 //
 //===----------------------------------------------------------------------===//
 
@@ -39,27 +22,24 @@
 
 #include "store/sharded_graph.h"
 
-#include <condition_variable>
-#include <deque>
-#include <exception>
+#include <algorithm>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 namespace aspen {
 
-/// Coalescing + pipelining writer front over a sharded store.
+/// Installs groups of same-kind batches into a sharded store.
 template <class Store> class IngestFrontT {
 public:
   struct Stats {
     uint64_t Submitted = 0; ///< batches accepted
     uint64_t Installs = 0;  ///< store installs (groups)
     uint64_t Coalesced = 0; ///< batches that shared an install with others
-    uint64_t MaxGroup = 0;  ///< largest group drained
+    uint64_t MaxGroup = 0;  ///< largest group installed
   };
 
-  /// Most batches one group drains (and the store installs as one
-  /// epoch); bounds a group's prepare footprint and commit latency.
+  /// Most batches one group takes (and the store installs as one epoch);
+  /// bounds a group's prepare footprint and commit latency.
   static constexpr size_t MaxCoalesce = 32;
 
   explicit IngestFrontT(Store &S) : S(S) {}
@@ -67,19 +47,35 @@ public:
   IngestFrontT(const IngestFrontT &) = delete;
   IngestFrontT &operator=(const IngestFrontT &) = delete;
 
-  /// Submit an insert batch; blocks until the batch's install is
-  /// published (and durable, on a durable store). Returns the batch's
-  /// own sequence number. The edges must stay alive for the call.
+  /// Install \p N same-kind batches as one epoch; returns once it is
+  /// published (and durable, on a durable store). Batch I of the group
+  /// owns sequence number Last - (N-1-I), where Last is the returned
+  /// one. The edges must stay alive for the call.
+  uint64_t install(const EdgeSpan *Spans, size_t N, bool Insert) {
+    {
+      std::lock_guard<std::mutex> L(M);
+      St.Submitted += N;
+      ++St.Installs;
+      if (N > 1)
+        St.Coalesced += N;
+      St.MaxGroup = std::max(St.MaxGroup, uint64_t(N));
+    }
+    return S.applySpans(Spans, N, Insert);
+  }
+
+  /// Install one insert batch; returns its sequence number.
   uint64_t insertBatch(const EdgePair *Edges, size_t K) {
-    return submit(EdgeSpan{Edges, K}, /*Insert=*/true);
+    EdgeSpan Span{Edges, K};
+    return install(&Span, 1, /*Insert=*/true);
   }
   uint64_t insertBatch(const std::vector<EdgePair> &Edges) {
     return insertBatch(Edges.data(), Edges.size());
   }
 
-  /// Submit a delete batch (same contract as insertBatch).
+  /// Install one delete batch (same contract as insertBatch).
   uint64_t deleteBatch(const EdgePair *Edges, size_t K) {
-    return submit(EdgeSpan{Edges, K}, /*Insert=*/false);
+    EdgeSpan Span{Edges, K};
+    return install(&Span, 1, /*Insert=*/false);
   }
   uint64_t deleteBatch(const std::vector<EdgePair> &Edges) {
     return deleteBatch(Edges.data(), Edges.size());
@@ -90,122 +86,10 @@ public:
     return St;
   }
 
-  Store &store() { return S; }
-
 private:
-  struct Request {
-    EdgeSpan Span;
-    bool Insert;
-    uint64_t Seq = 0;
-    std::exception_ptr Err;
-    bool Done = false;
-  };
-
-  uint64_t submit(EdgeSpan Span, bool Insert) {
-    Request R{Span, Insert, 0, nullptr, false};
-    std::unique_lock<std::mutex> L(M);
-    Pending.push_back(&R);
-    ++St.Submitted;
-    for (;;) {
-      if (R.Done) {
-        if (R.Err)
-          std::rethrow_exception(R.Err);
-        return R.Seq;
-      }
-      if (!PrepActive && !Pending.empty()) {
-        runGroup(L); // drains + prepares + commits one group
-        continue;    // our request may have been in it (or moved up)
-      }
-      CV.wait(L);
-    }
-  }
-
-  /// Drain one maximal same-kind FIFO prefix and drive it through
-  /// prepare (single active preparer) and commit (FIFO ticket order).
-  /// Called with \p L held; returns with \p L held.
-  void runGroup(std::unique_lock<std::mutex> &L) {
-    PrepActive = true;
-    bool Insert = Pending.front()->Insert;
-    std::vector<Request *> Group;
-    while (!Pending.empty() && Pending.front()->Insert == Insert &&
-           Group.size() < MaxCoalesce) {
-      Group.push_back(Pending.front());
-      Pending.pop_front();
-    }
-    uint64_t Ticket = NextTicket++;
-    ++St.Installs;
-    if (Group.size() > 1)
-      St.Coalesced += Group.size();
-    St.MaxGroup = std::max(St.MaxGroup, uint64_t(Group.size()));
-    L.unlock();
-
-    std::vector<EdgeSpan> Spans(Group.size());
-    for (size_t I = 0; I < Group.size(); ++I)
-      Spans[I] = Group[I]->Span;
-
-    // Prepare with no locks held: overlaps the predecessor group's
-    // commit, which is the pipelining half of the front.
-    std::exception_ptr Err;
-    std::optional<typename Store::PreparedIngest> P;
-    try {
-      P.emplace(S.prepareSpans(Spans.data(), Spans.size(), Insert));
-    } catch (...) {
-      Err = std::current_exception();
-    }
-
-    // Single-preparer stage ends: hand the prepare slot to the next
-    // group before we block on our commit turn.
-    {
-      std::lock_guard<std::mutex> G(M);
-      PrepActive = false;
-    }
-    CV.notify_all();
-
-    // Commit in strict ticket order (ack order == submission order). A
-    // failed prepare still takes and advances its turn, else successors
-    // would wait forever.
-    {
-      std::unique_lock<std::mutex> TL(TurnM);
-      TurnCV.wait(TL, [&] { return CommitTurn == Ticket; });
-    }
-    uint64_t LastSeq = 0;
-    if (!Err) {
-      try {
-        LastSeq = S.commitPrepared(std::move(*P));
-      } catch (...) {
-        Err = std::current_exception();
-      }
-    }
-    {
-      std::lock_guard<std::mutex> TL(TurnM);
-      ++CommitTurn;
-    }
-    TurnCV.notify_all();
-
-    L.lock();
-    // Acknowledge under M: batch I of the group owns sequence number
-    // LastSeq - (N-1-I). Requests may be freed by their submitters the
-    // moment they observe Done, so nothing touches them after this loop.
-    for (size_t I = 0; I < Group.size(); ++I) {
-      Group[I]->Err = Err;
-      Group[I]->Seq = Err ? 0 : LastSeq - (Group.size() - 1 - I);
-      Group[I]->Done = true;
-    }
-    CV.notify_all();
-  }
-
   Store &S;
-
-  mutable std::mutex M; ///< queue, preparer flag, stats, acknowledgements
-  std::condition_variable CV;
-  std::deque<Request *> Pending;
-  bool PrepActive = false;
-  uint64_t NextTicket = 0;
+  mutable std::mutex M; ///< guards St
   Stats St;
-
-  std::mutex TurnM; ///< FIFO commit tickets
-  std::condition_variable TurnCV;
-  uint64_t CommitTurn = 0;
 };
 
 } // namespace aspen

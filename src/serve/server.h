@@ -2,11 +2,17 @@
 //
 // The end-to-end serving assembly (DESIGN.md Section 8): a worker pool
 // over a sharded store that serves pinned-snapshot queries concurrently
-// with coalesced, pipelined ingest.
+// with coalesced ingest.
 //
 //   requests -> AdmissionQueueT (bounded, weighted-fair, load-shedding)
 //     reads  -> the worker's own AlgoContext -> QueryContext (lazy pins)
-//     writes -> IngestFrontT (coalescing + pipelining into the store)
+//     writes -> one worker at a time holds the write class, takes the
+//               queued same-kind prefix (up to MaxCoalesce batches) and
+//               installs it through IngestFrontT as one epoch
+//
+// The admission queue is the only write queue. Since one write group is
+// in flight at a time, installs, sequence numbers and acknowledgements
+// follow submission order at any worker count.
 //
 // Every worker owns one AlgoContext for its lifetime (allocation-free
 // at steady state), and every query runs on its worker's context and
@@ -114,7 +120,8 @@ public:
   }
 
   /// Admit an insert batch; false = shed (write queue full). The batch
-  /// routes through the coalescing ingest front.
+  /// is installed in submission order, possibly in one epoch with the
+  /// same-kind batches queued next to it.
   bool submitInsert(std::vector<EdgePair> Edges) {
     Item It;
     It.Edges = std::move(Edges);
@@ -158,9 +165,6 @@ public:
     return R;
   }
 
-  Store &store() { return S; }
-  IngestFrontT<Store> &front() { return Front; }
-
 private:
   struct Item {
     Query Q;                     // reads
@@ -173,14 +177,14 @@ private:
     InFlight.fetch_add(1); // optimistic: rolled back on shed
     if (Queue.tryPush(C, std::move(It)))
       return true;
-    finishOne();
+    finish(1);
     return false;
   }
 
-  /// Retire one admitted (or rolled-back) request; the last one out
+  /// Retire \p N admitted (or rolled-back) requests; the last one out
   /// wakes drain().
-  void finishOne() {
-    if (InFlight.fetch_sub(1) != 1)
+  void finish(uint64_t N) {
+    if (InFlight.fetch_sub(N) != N)
       return;
     { std::lock_guard<std::mutex> L(DrainM); }
     DrainCV.notify_all();
@@ -188,9 +192,15 @@ private:
 
   void workerLoop() {
     AlgoContext Ctx;
-    while (auto Popped = Queue.pop()) {
-      Item &It = Popped->second;
-      if (Popped->first == RequestClass::Read) {
+    std::vector<Item> Group;
+    std::vector<EdgeSpan> Spans;
+    auto SameKind = [](const Item &A, const Item &B) {
+      return A.Insert == B.Insert;
+    };
+    while (auto C = Queue.popGroup(Group, IngestFrontT<Store>::MaxCoalesce,
+                                   SameKind)) {
+      if (*C == RequestClass::Read) {
+        Item &It = Group.front();
         // The lag counts the batches that landed while this read queued,
         // not those that land while it runs.
         uint64_t Lag = S.batchSeq() - It.SubmitSeq;
@@ -207,17 +217,20 @@ private:
           ;
         QueriesDone.fetch_add(1, std::memory_order_relaxed);
       } else {
+        Spans.clear();
+        for (const Item &It : Group)
+          Spans.push_back({It.Edges.data(), It.Edges.size()});
         try {
-          if (It.Insert)
-            Front.insertBatch(It.Edges);
-          else
-            Front.deleteBatch(It.Edges);
+          Front.install(Spans.data(), Spans.size(), Group.front().Insert);
         } catch (...) {
-          WriteErrors.fetch_add(1, std::memory_order_relaxed);
+          WriteErrors.fetch_add(Group.size(), std::memory_order_relaxed);
         }
-        WritesDone.fetch_add(1, std::memory_order_relaxed);
+        Queue.releaseWrites();
+        WritesDone.fetch_add(Group.size(), std::memory_order_relaxed);
       }
-      finishOne();
+      size_t Done = Group.size();
+      Group.clear(); // free the query or the edges before acknowledging
+      finish(Done);
     }
   }
 

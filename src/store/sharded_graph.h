@@ -44,10 +44,11 @@
 //      the O(S) pointer-copy install.
 //
 // A prepared group may carry SEVERAL submitted batches (EdgeSpans) at
-// once: serve/ingest_front.h coalesces same-kind batches queued behind a
-// busy shard into one merged span, which this store installs as a single
-// epoch advancing BatchSeq by the number of coalesced batches (each
-// batch keeps its own WAL record). Set semantics make the result
+// once: the snapshot server's writer takes the same-kind batches queued
+// behind the one it popped and installs them through
+// serve/ingest_front.h as one merged span, which this store installs as
+// a single epoch advancing BatchSeq by the number of coalesced batches
+// (each batch keeps its own WAL record). Set semantics make the result
 // byte-identical to one-at-a-time ingest (DESIGN.md Section 8).
 //
 // Readers read an epoch through View — graph.h's TreeGraphView over the
@@ -349,25 +350,26 @@ public:
 
   private:
     friend class ShardedGraphStoreT;
-    std::vector<std::optional<GroupedBatchT<EdgeSet>>> Groups; // per shard
-    std::vector<std::vector<VertexId>> Touched;                // per shard
+    std::vector<std::optional<PairScratch<VertexId, EdgeSet>>>
+        Groups;                                 // per shard
+    std::vector<std::vector<VertexId>> Touched; // per shard
     std::vector<EdgeSpan> Spans; ///< original batches, for the WAL
     bool Insert = false;
   };
 
   /// Prepare phase: coalesce \p N same-kind spans into one merged span,
   /// split it by owning shard, and group every shard's sub-span. Takes
-  /// no locks — callers run it concurrently with a predecessor's
-  /// merge/install (the pipelining half of DESIGN.md Section 8).
+  /// no locks, so concurrent writers overlap it with a predecessor's
+  /// merge/install.
   PreparedIngest prepareSpans(const EdgeSpan *Spans, size_t N, bool Insert) {
     size_t S = numShards();
     PreparedIngest P;
     P.Insert = Insert;
     P.Spans.assign(Spans, Spans + N);
-    // Sized at construction (optional<GroupedBatchT> is not movable, so
+    // Sized at construction (optional<PairScratch> is not movable, so
     // the vector must never reallocate; moving the vector itself is a
     // buffer steal and stays legal).
-    P.Groups = std::vector<std::optional<GroupedBatchT<EdgeSet>>>(S);
+    P.Groups = std::vector<std::optional<PairScratch<VertexId, EdgeSet>>>(S);
     P.Touched.resize(S);
     size_t K = 0;
     for (size_t I = 0; I < N; ++I)
@@ -746,11 +748,10 @@ private:
   /// original batches the groups coalesce (WAL payloads, one record
   /// each). Publishes ONE epoch advancing BatchSeq by \p NumSpans and
   /// returns the last batch's sequence number.
-  uint64_t
-  mergeInstall(std::vector<std::optional<GroupedBatchT<EdgeSet>>> &Groups,
-               std::vector<std::vector<VertexId>> &Touched,
-               const uint8_t *TouchedShP, const EdgeSpan *Spans,
-               size_t NumSpans, bool Insert) {
+  uint64_t mergeInstall(
+      std::vector<std::optional<PairScratch<VertexId, EdgeSet>>> &Groups,
+      std::vector<std::vector<VertexId>> &Touched, const uint8_t *TouchedShP,
+      const EdgeSpan *Spans, size_t NumSpans, bool Insert) {
     size_t S = numShards();
     // --- Merge: per-shard functional merges of the prepared groups, in
     // parallel (one writer per shard; concurrent batches on disjoint
@@ -933,9 +934,6 @@ using ShardedGraphStore =
     ShardedGraphStoreT<CTreeSet<VertexId, DeltaByteCodec>>;
 /// Degree-adaptive hybrid shards (graph/hybrid_set.h).
 using HybridShardedGraphStore = ShardedGraphStoreT<HybridEdgeSet>;
-using ShardedGraphView = ShardedGraphStore::View;
-/// O(1)-vertex-access view over a hot flat epoch (acquireFlat()).
-using ShardedFlatView = ShardedGraphStore::FlatView;
 
 } // namespace aspen
 

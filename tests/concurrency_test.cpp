@@ -528,8 +528,9 @@ TEST(Concurrency, ServingSessionsVersusIngestStress) {
   // The full serving stack under TSan: external tenants flood the
   // admission queue with queries (worker-owned contexts, pinned tree + flat
   // epochs, lock-free acquireFlat fast path) while others stream write
-  // batches through the coalescing ingest front. Every pinned epoch must
-  // stay self-consistent; shedding is the only allowed failure mode.
+  // batches that the worker holding the write class installs in
+  // coalesced groups. Every pinned epoch must stay self-consistent;
+  // shedding is the only allowed failure mode.
   const VertexId N = 1 << 10;
   auto Fixed = dedupEdges(symmetrize(uniformRandomEdges(N, 3000, 17)));
   HybridShardedGraphStore Store(4, N, Fixed);

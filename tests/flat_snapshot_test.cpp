@@ -69,12 +69,12 @@ void expectFlatMatchesTree(const FlatSnapshot &FS, const Graph &G) {
 // for) satisfy the graph-view concept and the streaming-cursor surface.
 static_assert(IsGraphViewV<TreeGraphView<ES>>, "");
 static_assert(IsGraphViewV<FlatGraphView<ES>>, "");
-static_assert(IsGraphViewV<ShardedGraphView>, "");
-static_assert(IsGraphViewV<ShardedFlatView>, "");
+static_assert(IsGraphViewV<ShardedGraphStore::View>, "");
+static_assert(IsGraphViewV<ShardedGraphStore::FlatView>, "");
 static_assert(HasNeighborCursorV<TreeGraphView<ES>>, "");
 static_assert(HasNeighborCursorV<FlatGraphView<ES>>, "");
-static_assert(HasNeighborCursorV<ShardedGraphView>, "");
-static_assert(HasNeighborCursorV<ShardedFlatView>, "");
+static_assert(HasNeighborCursorV<ShardedGraphStore::View>, "");
+static_assert(HasNeighborCursorV<ShardedGraphStore::FlatView>, "");
 
 } // namespace
 

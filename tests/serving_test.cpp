@@ -2,17 +2,21 @@
 //
 // The multi-tenant serving subsystem (src/serve/, DESIGN.md Section 8):
 //
-//  - Coalesced/pipelined ingest is BYTE-IDENTICAL to one-at-a-time
-//    serialized ingest (chunk-level: checkpoint serialization memcmp),
-//    including through the concurrent IngestFrontT and across a durable
+//  - Coalesced ingest is BYTE-IDENTICAL to one-at-a-time serialized
+//    ingest (chunk-level: checkpoint serialization memcmp), including
+//    through a server fed by concurrent writers and across a durable
 //    close/reopen with per-batch WAL records inside coalesced installs.
+//    A server installs the writes queued behind a busy worker as one
+//    group per same-kind run.
 //  - AdmissionQueueT: queue-full rejection, FIFO within a class,
 //    weighted-fair scheduling under saturation, work conservation.
-//  - SnapshotServerT: queries under concurrent ingest see consistent
-//    epochs, overload sheds instead of stalling, epoch lag is sampled at
-//    dequeue, no request is lost to the poll-then-park wake path, stop()
-//    and drain() stay exact while workers poll, park or shed, and a
-//    worker's own context serves warm queries allocation-free.
+//  - SnapshotServerT: writes apply in submission order at any worker
+//    count, a failed group install still finishes every batch, queries
+//    under concurrent ingest see consistent epochs, overload sheds
+//    instead of stalling, epoch lag is sampled at dequeue, no request
+//    is lost to the poll-then-park wake path, stop() and drain() stay
+//    exact while workers poll, park or shed, and a worker's own context
+//    serves warm queries allocation-free.
 //  - acquireFlat() lock-free fast path: repeated hits on an unchanged
 //    epoch are counted and all readers see the same flat; a query that
 //    refreshes releases the superseded flat after its callback.
@@ -24,6 +28,7 @@
 #include "serve/server.h"
 #include "store/checkpoint.h"
 #include "store/sharded_graph.h"
+#include "util/failpoint.h"
 
 #include <gtest/gtest.h>
 
@@ -184,26 +189,72 @@ TEST(ServeCoalesce, IngestFrontConcurrentInsertIdentity) {
     Ref.insertBatch(B);
 
   ShardedGraphStore S(Shards, N);
-  IngestFrontT<ShardedGraphStore> Front(S);
+  using Server = SnapshotServerT<ShardedGraphStore>;
+  Server::Options O;
+  O.Workers = 2;
+  Server Srv(S, O);
   std::vector<std::thread> Ts;
   for (size_t W = 0; W < Writers; ++W)
     Ts.emplace_back([&, W] {
-      for (size_t I = 0; I < PerWriter; ++I) {
-        uint64_t Seq = Front.insertBatch(Batches[W * PerWriter + I]);
-        EXPECT_GE(Seq, 1u);
-        EXPECT_LE(Seq, Batches.size());
-      }
+      for (size_t I = 0; I < PerWriter; ++I)
+        EXPECT_TRUE(Srv.submitInsert(Batches[W * PerWriter + I]));
     });
   for (auto &T : Ts)
     T.join();
+  Srv.drain();
 
   EXPECT_EQ(S.batchSeq(), Batches.size());
-  auto St = Front.stats();
-  EXPECT_EQ(St.Submitted, Batches.size());
-  EXPECT_LE(St.Installs, St.Submitted);
-  EXPECT_GE(St.MaxGroup, 1u);
-  EXPECT_LE(St.MaxGroup, IngestFrontT<ShardedGraphStore>::MaxCoalesce);
+  auto St = Srv.stats();
+  EXPECT_EQ(St.WriteErrors, 0u);
+  EXPECT_EQ(St.Front.Submitted, Batches.size());
+  EXPECT_LE(St.Front.Installs, St.Front.Submitted);
+  EXPECT_GE(St.Front.MaxGroup, 1u);
+  EXPECT_LE(St.Front.MaxGroup, IngestFrontT<ShardedGraphStore>::MaxCoalesce);
 
+  auto A = storeBytes(Ref), B = storeBytes(S);
+  for (size_t Sh = 0; Sh < A.size(); ++Sh)
+    EXPECT_EQ(A[Sh], B[Sh]) << "shard " << Sh;
+}
+
+TEST(ServeCoalesce, ServerCoalescesQueuedWrites) {
+  const VertexId N = 512;
+  ShardedGraphStore S(2, N), Ref(2, N);
+  auto B1 = randomBatch(N, 300, 21);
+  auto B2 = randomBatch(N, 200, 22);
+  auto B3 = randomBatch(N, 100, 23);
+  auto B4 = randomBatch(N, 150, 24);
+  Ref.insertBatch(B1);
+  Ref.insertBatch(B2);
+  Ref.insertBatch(B3);
+  Ref.deleteBatch(B2);
+  Ref.insertBatch(B4);
+
+  using Server = SnapshotServerT<ShardedGraphStore>;
+  Server::Options O;
+  O.Workers = 1;
+  Server Srv(S, O);
+  // Hold the only worker in a query while I I I D I queue behind it.
+  std::promise<void> Started, Gate;
+  std::shared_future<void> Open(Gate.get_future());
+  ASSERT_TRUE(Srv.submitQuery([&Started, Open](auto &) {
+    Started.set_value();
+    Open.wait();
+  }));
+  Started.get_future().wait();
+  ASSERT_TRUE(Srv.submitInsert(B1));
+  ASSERT_TRUE(Srv.submitInsert(B2));
+  ASSERT_TRUE(Srv.submitInsert(B3));
+  ASSERT_TRUE(Srv.submitDelete(B2));
+  ASSERT_TRUE(Srv.submitInsert(B4));
+  Gate.set_value();
+  Srv.drain();
+
+  // One install per same-kind run: {B1 B2 B3}, {-B2}, {B4}.
+  auto St = Srv.stats().Front;
+  EXPECT_EQ(St.Submitted, 5u);
+  EXPECT_EQ(St.Installs, 3u);
+  EXPECT_EQ(St.MaxGroup, 3u);
+  EXPECT_EQ(S.batchSeq(), 5u);
   auto A = storeBytes(Ref), B = storeBytes(S);
   for (size_t Sh = 0; Sh < A.size(); ++Sh)
     EXPECT_EQ(A[Sh], B[Sh]) << "shard " << Sh;
@@ -466,6 +517,68 @@ TEST(ServeServer, EpochLagIsSampledAtDequeue) {
   EXPECT_EQ(St.EpochLagSum, 0u);
   EXPECT_EQ(St.EpochLagMax, 0u);
   Server.stop();
+}
+
+TEST(ServeServer, WritesApplyInSubmissionOrder) {
+  // Each pair inserts an edge and then deletes it, with nothing drained
+  // between pairs: four workers race for the queued writes, and a delete
+  // installed before its insert would leave the edge behind.
+  const VertexId N = 1024;
+  const size_t Rounds = 40, Pairs = 500;
+  HybridShardedGraphStore Store(4, N);
+  SnapshotServer::Options O;
+  O.Workers = 4;
+  O.WriteQueueCap = 2 * Pairs;
+  SnapshotServer Server(Store, O);
+  for (size_t R = 0; R < Rounds; ++R) {
+    for (size_t I = 0; I < Pairs; ++I) {
+      EdgePair E{VertexId(I), VertexId((I + 1 + R) % N)};
+      ASSERT_TRUE(Server.submitInsert({E}));
+      ASSERT_TRUE(Server.submitDelete({E}));
+    }
+    Server.drain();
+    ASSERT_EQ(Store.acquire().numEdges(), 0u) << "round " << R;
+  }
+  auto St = Server.stats();
+  EXPECT_EQ(St.WriteErrors, 0u);
+  EXPECT_EQ(Store.batchSeq(), Rounds * 2 * Pairs);
+  Server.stop();
+}
+
+TEST(ServeServer, FailedGroupInstallReleasesWriteClass) {
+  const VertexId N = 256;
+  TempDir D;
+  DurabilityOptions DO;
+  DO.Dir = D.P;
+  DO.FsyncOnCommit = false;
+  ShardedGraphStore Store(DO, 2, N);
+  using Server = SnapshotServerT<ShardedGraphStore>;
+  Server::Options O;
+  O.Workers = 1;
+  Server Srv(Store, O);
+  // Queue I I I D behind a held worker; the first group's WAL append
+  // crashes, so its install throws.
+  std::promise<void> Started, Gate;
+  std::shared_future<void> Open(Gate.get_future());
+  ASSERT_TRUE(Srv.submitQuery([&Started, Open](auto &) {
+    Started.set_value();
+    Open.wait();
+  }));
+  Started.get_future().wait();
+  for (uint64_t I = 0; I < 3; ++I)
+    ASSERT_TRUE(Srv.submitInsert(randomBatch(N, 16, 40 + I)));
+  ASSERT_TRUE(Srv.submitDelete(randomBatch(N, 16, 40)));
+  FailpointGuard G("wal.enqueue.before", FailAction::crash());
+  Gate.set_value();
+  Srv.drain();
+  // Every batch of the failed group counts as an error and finishes, and
+  // the delete group is still taken afterwards.
+  auto St = Srv.stats();
+  EXPECT_EQ(St.WritesDone, 4u);
+  EXPECT_GE(St.WriteErrors, 3u);
+  EXPECT_EQ(St.Front.Installs, 2u);
+  EXPECT_EQ(St.Front.MaxGroup, 3u);
+  Srv.stop();
 }
 
 namespace {

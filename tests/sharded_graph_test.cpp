@@ -4,7 +4,7 @@
 // correctness, batch-ingest equivalence with a plain graph snapshot,
 // epoch atomicity under concurrent writers and readers (no torn
 // cross-shard cuts), exact reclamation at one shard and at four, and the
-// differential guarantee that every algorithm over a ShardedGraphView
+// differential guarantee that every algorithm over the store's View
 // matches the single-snapshot result exactly.
 //
 //===----------------------------------------------------------------------===//
