@@ -203,12 +203,14 @@ void runServed(const BenchConfig &C, const BenchInput &In,
 //===----------------------------------------------------------------------===
 
 /// A recorded run of epochs on an S=8 store with every step's per-shard
-/// touched digest, so each geometry replays the identical refreshes.
+/// touched slots (looked up in the new epoch, as the merge records them),
+/// so each geometry replays the identical refreshes.
 template <class EdgeSet> struct EpochChain {
   using Store = ShardedGraphStoreT<EdgeSet>;
   std::unique_ptr<Store> St; // outlives the Refs below
   std::vector<typename Store::Ref> Epochs;
-  std::vector<std::vector<std::vector<VertexId>>> Touched; // [step][shard]
+  std::vector<std::vector<std::vector<VertexSlot<EdgeSet>>>>
+      Touched; // [step][shard]
 
   EpochChain(const BenchInput &In, size_t Steps,
              const std::function<std::vector<EdgePair>(size_t)> &BatchOf)
@@ -222,7 +224,11 @@ template <class EdgeSet> struct EpochChain {
           T[St->shardOf(B[I].first)].push_back(B[I].first);
       St->insertBatch(B);
       Epochs.push_back(St->acquire());
-      Touched.push_back(std::move(T));
+      std::vector<std::vector<VertexSlot<EdgeSet>>> Slots(8);
+      for (size_t Sh = 0; Sh < 8; ++Sh)
+        Slots[Sh] = Epochs.back().shard(Sh).slotsOf(T[Sh].data(),
+                                                    T[Sh].size());
+      Touched.push_back(std::move(Slots));
     }
   }
 };
@@ -256,7 +262,7 @@ void sweepOne(const BenchConfig &C, const char *StoreName,
           Next[Sh] = Cur[Sh];
           return;
         }
-        const std::vector<VertexId> &Tk = Ch.Touched[K - 1][Sh];
+        const std::vector<VertexSlot<EdgeSet>> &Tk = Ch.Touched[K - 1][Sh];
         Next[Sh] = FlatG::refresh(Cur[Sh], Snap, Tk.data(), Tk.size());
       }, 1);
       Times.push_back(T.elapsed());
@@ -316,8 +322,9 @@ void runGeometry(const BenchConfig &C, const BenchInput &In,
 }
 
 /// Refresh of n / Den uniformly spread touched vertices (the successor is
-/// the same snapshot, so every slot is re-resolved but none changes)
-/// against a full rebuild, at the default geometry.
+/// the same snapshot, so every slot is rewritten but none changes)
+/// against a full rebuild, at the default geometry. The slots are looked
+/// up once, untimed: a store's refresh takes them from the merge.
 template <class EdgeSet>
 void runCrossover(const BenchConfig &C, const BenchInput &In,
                   const char *StoreName) {
@@ -330,8 +337,9 @@ void runCrossover(const BenchConfig &C, const BenchInput &In,
     for (VertexId V = 0; V < In.N; ++V)
       if (hashAt(C.Seed + Den, V) % Den == 0)
         Keys.push_back(V);
+    auto Slots = G.slotsOf(Keys.data(), Keys.size());
     double RefreshT = benchTime(C.Rounds, [&] {
-      FlatG FS = FlatG::refresh(Base, G, Keys.data(), Keys.size());
+      FlatG FS = FlatG::refresh(Base, G, Slots.data(), Slots.size());
     });
     std::string Scope = std::string("crossover/") + StoreName + "/" +
                         In.Name + "/n_over_" + std::to_string(Den);

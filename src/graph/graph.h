@@ -6,9 +6,12 @@
 // GraphSnapshotT value is an immutable snapshot; "updates" return new
 // snapshots sharing structure with the old one.
 //
-// Batch updates follow Section 5: sort the batch, build an edge set per
-// distinct source, and MultiInsert into the vertex tree combining with
-// edge-set Union (insertions) or Difference (deletions). O(k log n) work,
+// Batch updates follow Section 5: sort the batch and build an edge set per
+// distinct source. The paper then builds a tree over the batch and calls
+// Union; here the sources the vertex tree holds are combined (edge-set
+// Union for insertions, Difference for deletions) by one path-copying
+// multi-update that copies only the batch's search paths, and only new
+// sources go through MultiInsert (DESIGN.md Section 5). O(k log n) work,
 // polylog depth.
 //
 // Flat snapshots (Section 5.1) give edgeMap O(1) vertex access like CSR.
@@ -47,18 +50,14 @@ namespace aspen {
 /// sorted edge set) entry per distinct source under \p P into \p Pairs,
 /// in ascending source order. O(K log K) in the batch, independent of
 /// the vertex universe. The sort runs on packed 64-bit keys (source in
-/// the high half), so each comparison is one integer compare. When
-/// \p TouchedOut is non-null it receives the distinct sources in
-/// ascending order — the per-epoch touched-vertex digest
-/// FlatSnapshotT::refresh consumes, free here because the batch is
-/// already grouped. Grouping scratch lives in borrowed worker-cache
-/// blocks released before return, so the caller's merge never contends
-/// with input-sized blocks. Requires \p K > 0.
+/// the high half), so each comparison is one integer compare. Grouping
+/// scratch lives in borrowed worker-cache blocks released before return,
+/// so the caller's merge never contends with input-sized blocks.
+/// Requires \p K > 0.
 template <class EdgeSet>
 void groupSpan(const EdgePair *Edges, size_t K,
                typename EdgeSet::BuildParams P,
-               std::optional<PairScratch<VertexId, EdgeSet>> &Pairs,
-               std::vector<VertexId> *TouchedOut) {
+               std::optional<PairScratch<VertexId, EdgeSet>> &Pairs) {
   static_assert(sizeof(VertexId) == 4, "a sort key packs two vertex ids");
   assert(K > 0 && "groupSpan of an empty batch");
   CtxArray<uint64_t> Keys(K);
@@ -87,11 +86,6 @@ void groupSpan(const EdgePair *Edges, size_t K,
     Pairs->emplaceAt(G, VertexId(KeysP[Lo] >> 32),
                      EdgeSet::buildSorted(DstP + Lo, Hi - Lo, P));
   });
-  if (TouchedOut) {
-    TouchedOut->resize(Groups);
-    VertexId *T = TouchedOut->data();
-    parallelFor(0, Groups, [&](size_t G) { T[G] = Pairs->data()[G].first; });
-  }
 }
 
 /// Partition \p K edges by owning shard (source & (\p S - 1), \p S a
@@ -112,6 +106,23 @@ inline void splitByShard(const EdgePair *Edges, size_t K, size_t S,
   assert(At == K && "shard split must cover the batch");
 }
 
+/// One vertex's flat-snapshot slot: its key, degree and borrowed
+/// edge-set view. A batch merge records one for every vertex it sets
+/// (GraphSnapshotT::insertGrouped / deleteGrouped), and
+/// FlatSnapshotT::refresh writes them into the pages it clones.
+///
+/// Lifetime: the view points only at refcounted edge-set internals that
+/// every copy of the edge set shares (the C-tree root and prefix chunk,
+/// the hybrid sidecar), or holds inline edges by value. A slot recorded
+/// when an epoch was built is therefore valid in every later epoch that
+/// did not touch its vertex, for as long as such an epoch is alive; a
+/// flat keeps its slots alive through its owner snapshot.
+template <class EdgeSet> struct VertexSlot {
+  VertexId Key = 0;
+  uint32_t Degree = 0;
+  typename EdgeSet::View Edges{};
+};
+
 /// An immutable graph snapshot over edge sets of type \p EdgeSet
 /// (CTreeSet<VertexId, Codec> or UncompressedSet<VertexId>).
 template <class EdgeSet> class GraphSnapshotT {
@@ -129,6 +140,7 @@ public:
 
   using VT = Tree<VertexEntry>;
   using Node = typename VT::Node;
+  using Slot = VertexSlot<EdgeSet>;
 
   /// Edge-set construction parameters of this snapshot's lineage. Every
   /// edge set built on behalf of this snapshot (initial build, batch
@@ -209,7 +221,7 @@ public:
       std::optional<PairScratch<VertexId, EdgeSet>> Groups;
       size_t Lo = ShardLoP[Sh], Hi = ShardLoP[Sh + 1];
       if (Hi > Lo)
-        groupSpan<EdgeSet>(PartsP + Lo, Hi - Lo, P, Groups, nullptr);
+        groupSpan<EdgeSet>(PartsP + Lo, Hi - Lo, P, Groups);
       const PairT *G = Groups ? Groups->data() : nullptr;
       size_t NG = Groups ? Groups->size() : 0;
       // Owned id Sh + J * S sits at slot J; the groups ascend, so the
@@ -281,6 +293,18 @@ public:
     return N ? N->Val.size() : 0;
   }
 
+  /// Slots of the \p N vertices \p Keys in this snapshot, an empty slot
+  /// for each vertex it does not hold: O(log n) per key. For callers that
+  /// hold only touched ids; a batch merge hands out its slots directly.
+  std::vector<Slot> slotsOf(const VertexId *Keys, size_t N) const {
+    std::vector<Slot> Out(N);
+    parallelFor(0, N, [&](size_t I) {
+      const Node *Nd = VT::findNode(Root, Keys[I]);
+      Out[I] = Nd ? slotOf(Nd) : Slot{Keys[I]};
+    });
+    return Out;
+  }
+
   /// Edge-existence probe: O(1) on hot hybrid vertices (hash sidecar),
   /// a chunk/tree membership test otherwise.
   bool containsEdge(VertexId U, VertexId X) const {
@@ -307,16 +331,14 @@ public:
   /// not yet present are created. Grouping runs through groupSpan's
   /// borrowed scratch and makes no input-sized heap allocations.
   GraphSnapshotT insertEdges(const std::vector<EdgePair> &Edges) const {
-    return combineSpan(Edges.data(), Edges.size(), /*Insert=*/true,
-                       nullptr);
+    return combineSpan(Edges.data(), Edges.size(), /*Insert=*/true);
   }
 
   /// New snapshot with \p Edges removed. Vertices are kept even when their
   /// edge sets become empty (the paper makes singleton removal optional;
   /// see removeIsolatedVertices()). Unknown sources are ignored.
   GraphSnapshotT deleteEdges(const std::vector<EdgePair> &Edges) const {
-    return combineSpan(Edges.data(), Edges.size(), /*Insert=*/false,
-                       nullptr);
+    return combineSpan(Edges.data(), Edges.size(), /*Insert=*/false);
   }
 
   //===--------------------------------------------------------------------===
@@ -328,50 +350,83 @@ public:
 
   /// MultiInsert of a pre-grouped batch: \p Pairs sorted by vertex id with
   /// one entry per distinct source. Duplicate-source behavior matches
-  /// insertEdges (sets are unioned).
+  /// insertEdges (sets are unioned). The sources the tree holds merge in
+  /// one path-copying multiUpdate; only the sources it lacks (new
+  /// vertices) go through multiInsert. When \p SlotsOut is non-null,
+  /// SlotsOut[I] receives the new slot of Pairs[I]'s source.
   GraphSnapshotT insertGrouped(const std::pair<VertexId, EdgeSet> *Pairs,
-                               size_t N) const {
+                               size_t N, Slot *SlotsOut = nullptr) const {
     if (N == 0)
       return *this;
+    auto Union = [](EdgeSet Old, EdgeSet New) {
+      return EdgeSet::setUnion(std::move(Old), std::move(New));
+    };
+    CtxArray<uint8_t> Missing(N);
+    uint8_t *MissingP = Missing.data();
+    std::atomic<size_t> NumMissing{0};
     Node *Mine = Root;
     VT::retain(Mine);
-    Node *NewRoot = VT::multiInsert(
-        Mine, Pairs, N, [](EdgeSet Old, EdgeSet New) {
-          return EdgeSet::setUnion(std::move(Old), std::move(New));
+    Node *NewRoot = VT::multiUpdate(
+        Mine, Pairs, N, Union,
+        [&](size_t I, const Node *Nd) {
+          MissingP[I] = 0;
+          if (SlotsOut)
+            SlotsOut[I] = slotOf(Nd);
+        },
+        [&](size_t I) {
+          MissingP[I] = 1;
+          NumMissing.fetch_add(1, std::memory_order_relaxed);
         });
+    if (size_t M = NumMissing.load(std::memory_order_relaxed)) {
+      PairScratch<VertexId, EdgeSet> New(M);
+      for (size_t I = 0; I < N; ++I)
+        if (MissingP[I])
+          New.emplaceBack(Pairs[I].first, Pairs[I].second);
+      NewRoot = VT::multiInsert(NewRoot, New.data(), M, Union);
+      if (SlotsOut)
+        for (size_t I = 0; I < N; ++I)
+          if (MissingP[I])
+            SlotsOut[I] = slotOf(VT::findNode(NewRoot, Pairs[I].first));
+    }
     return GraphSnapshotT(NewRoot, Params);
   }
 
   /// Grouped counterpart of deleteEdges: subtract each set from its
-  /// source's edge set; unknown sources are ignored.
+  /// source's edge set in one path-copying multiUpdate; unknown sources
+  /// are ignored (their slots, if asked for, are empty). \p SlotsOut as
+  /// in insertGrouped.
   GraphSnapshotT deleteGrouped(const std::pair<VertexId, EdgeSet> *Pairs,
-                               size_t N) const {
+                               size_t N, Slot *SlotsOut = nullptr) const {
     if (N == 0)
       return *this;
-    Node *Batch = VT::buildSorted(Pairs, N);
     Node *Mine = Root;
     VT::retain(Mine);
-    Node *NewRoot = VT::updateExisting(
-        Mine, Batch, [](EdgeSet Old, EdgeSet Del) {
+    Node *NewRoot = VT::multiUpdate(
+        Mine, Pairs, N,
+        [](EdgeSet Old, EdgeSet Del) {
           return EdgeSet::setDifference(std::move(Old), std::move(Del));
+        },
+        [&](size_t I, const Node *Nd) {
+          if (SlotsOut)
+            SlotsOut[I] = slotOf(Nd);
+        },
+        [&](size_t I) {
+          if (SlotsOut)
+            SlotsOut[I] = Slot{Pairs[I].first};
         });
     return GraphSnapshotT(NewRoot, Params);
   }
 
   /// insertEdges over a borrowed span, grouped through borrowed scratch
   /// (no input-sized heap allocation; the new tree structure is the only
-  /// durable allocation). \p TouchedOut as in groupSpan.
-  GraphSnapshotT
-  insertEdgesSpan(const EdgePair *Edges, size_t K,
-                  std::vector<VertexId> *TouchedOut = nullptr) const {
-    return combineSpan(Edges, K, /*Insert=*/true, TouchedOut);
+  /// durable allocation).
+  GraphSnapshotT insertEdgesSpan(const EdgePair *Edges, size_t K) const {
+    return combineSpan(Edges, K, /*Insert=*/true);
   }
 
-  /// deleteEdges over a borrowed span; \p TouchedOut as in groupSpan.
-  GraphSnapshotT
-  deleteEdgesSpan(const EdgePair *Edges, size_t K,
-                  std::vector<VertexId> *TouchedOut = nullptr) const {
-    return combineSpan(Edges, K, /*Insert=*/false, TouchedOut);
+  /// deleteEdges over a borrowed span.
+  GraphSnapshotT deleteEdgesSpan(const EdgePair *Edges, size_t K) const {
+    return combineSpan(Edges, K, /*Insert=*/false);
   }
 
   /// New snapshot containing the additional vertices (with empty edge
@@ -436,14 +491,18 @@ public:
 private:
   /// Shared core of the span batch paths: groupSpan, then the grouped
   /// merge.
-  GraphSnapshotT combineSpan(const EdgePair *Edges, size_t K, bool Insert,
-                             std::vector<VertexId> *TouchedOut) const {
+  GraphSnapshotT combineSpan(const EdgePair *Edges, size_t K,
+                             bool Insert) const {
     if (K == 0)
       return *this;
     std::optional<PairScratch<VertexId, EdgeSet>> Pairs;
-    groupSpan<EdgeSet>(Edges, K, Params, Pairs, TouchedOut);
+    groupSpan<EdgeSet>(Edges, K, Params, Pairs);
     return Insert ? insertGrouped(Pairs->data(), Pairs->size())
                   : deleteGrouped(Pairs->data(), Pairs->size());
+  }
+
+  static Slot slotOf(const Node *N) {
+    return Slot{N->Key, uint32_t(N->Val.size()), N->Val.view()};
   }
 
   static size_t memoryRec(const Node *N) {
@@ -504,9 +563,11 @@ inline constexpr size_t FlatDirFanout = 16;
 /// cloned and slot-repaired. Untouched slots stay valid because a
 /// functional update only replaces the edge sets of touched vertices -
 /// every other vertex keeps the identical, refcounted (root, prefix) pair
-/// in the new snapshot. Universe growth is filled from the tree. A
+/// in the new snapshot. The touched slots themselves come from the batch
+/// merge that set them (VertexSlot), so the refresh reads no tree node
+/// another core just wrote; universe growth is filled from the tree. A
 /// refresh costs O(touched pages * page bytes + touched directories *
-/// DirPages + directories) plus O(log n) per touched vertex.
+/// DirPages + directories + touched vertices).
 /// This is what turns flat snapshots from a per-epoch batch job into the
 /// continuously maintained read index behind the stores' acquireFlat().
 ///
@@ -590,17 +651,18 @@ public:
 
   /// Flat view of \p Next derived from \p Prev's flat view.
   /// Preconditions: \p Next is a (possibly multi-batch) functional
-  /// successor of Prev's snapshot, and \p TouchedKeys lists - sorted
-  /// ascending, duplicate-free - every vertex whose edge set differs
-  /// between the two (the union of the intervening epochs' digests).
-  /// Untouched directories are shared with \p Prev; directories above
-  /// touched pages are cloned, and the touched pages themselves cloned
-  /// and repaired by O(log n) lookups; slots the universe grew into are
-  /// filled from the tree (so a touched list that omits brand-new
-  /// vertices beyond Prev's universe is still correct).
+  /// successor of Prev's snapshot, and \p Touched holds - sorted
+  /// ascending by key, one per key - the slot in \p Next of every vertex
+  /// whose edge set differs between the two (VertexSlot's lifetime rule
+  /// keeps a slot recorded by an earlier batch valid in Next when no later
+  /// batch touched its vertex). Untouched directories are shared with
+  /// \p Prev; directories above touched pages are cloned, and the
+  /// touched pages themselves cloned and their slots overwritten, with no
+  /// tree lookup; slots the universe grew into are filled from the tree
+  /// (so touched slots beyond Prev's universe are ignored).
   static FlatSnapshotT refresh(const FlatSnapshotT &Prev,
                                GraphSnapshotT<EdgeSet> Next,
-                               const VertexId *TouchedKeys,
+                               const VertexSlot<EdgeSet> *Touched,
                                size_t NumTouched) {
     FlatSnapshotT FS;
     FS.Owner = std::move(Next);
@@ -618,20 +680,20 @@ public:
     const VertexId RepairLimit = std::min(OldSlots, FS.NumSlots);
     struct WorkPage {
       size_t Page;
-      size_t TBegin, TEnd; ///< touched-key range to repair (may be empty)
+      size_t TBegin, TEnd; ///< touched-slot range to write (may be empty)
     };
     std::vector<WorkPage> Work;
     for (size_t I = 0; I < NumTouched;) {
-      VertexId Slot = FS.slotOf(TouchedKeys[I]);
-      assert((I == 0 || TouchedKeys[I - 1] < TouchedKeys[I]) &&
-             "touched digest must be sorted and duplicate-free");
-      if (Slot >= RepairLimit)
+      VertexId At = FS.slotOf(Touched[I].Key);
+      assert((I == 0 || Touched[I - 1].Key < Touched[I].Key) &&
+             "touched slots must be sorted and one per key");
+      if (At >= RepairLimit)
         break; // growth region (or dropped tail): handled by the tree fill
-      size_t P = size_t(Slot) >> PageLog;
+      size_t P = size_t(At) >> PageLog;
       size_t J = I + 1;
       while (J < NumTouched) {
-        VertexId S2 = FS.slotOf(TouchedKeys[J]);
-        if (S2 >= RepairLimit || (size_t(S2) >> PageLog) != P)
+        VertexId At2 = FS.slotOf(Touched[J].Key);
+        if (At2 >= RepairLimit || (size_t(At2) >> PageLog) != P)
           break;
         ++J;
       }
@@ -694,13 +756,10 @@ public:
     }, DirPages);
 
     // Clone every work page (only the predecessor's valid slots), fill
-    // the slots the universe grew into from the tree, and point each
-    // touched slot at its edge set in the new snapshot (deleted-to-empty
-    // and untouched-by-updateExisting sources resolve through findNode
-    // just the same). Repairs write slots below the repair limit and the
-    // fill slots above it, so the two never overlap.
-    using VT = typename GraphSnapshotT<EdgeSet>::VT;
-    const typename VT::Node *Root = FS.Owner.root();
+    // the slots the universe grew into from the tree, and overwrite each
+    // touched slot with the one the merge recorded (a source a delete
+    // did not find comes as an empty slot). Repairs write slots below the
+    // repair limit and the fill slots above it, so the two never overlap.
     parallelFor(0, Work.size(), [&](size_t W) {
       size_t P = Work[W].Page;
       Page *NP = newNode<Page>();
@@ -715,11 +774,9 @@ public:
       VertexId PageEnd = std::min(FS.NumSlots, VertexId((P + 1) << PageLog));
       FS.fillPage(P, std::max(OldSlots, VertexId(P << PageLog)), PageEnd);
       for (size_t I = Work[W].TBegin; I < Work[W].TEnd; ++I) {
-        VertexId Key = TouchedKeys[I];
-        size_t At = size_t(FS.slotOf(Key)) & (PageSlots - 1);
-        const typename VT::Node *N = VT::findNode(Root, Key);
-        NP->Views[At] = N ? N->Val.view() : SetView{};
-        NP->Degrees[At] = N ? uint32_t(N->Val.size()) : 0;
+        size_t At = size_t(FS.slotOf(Touched[I].Key)) & (PageSlots - 1);
+        NP->Views[At] = Touched[I].Edges;
+        NP->Degrees[At] = Touched[I].Degree;
       }
     }, DirPages);
 

@@ -36,6 +36,7 @@
 #include "parallel/scheduler.h"
 #include "util/types.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
@@ -609,8 +610,28 @@ template <class Entry> struct Tree {
     return join(L, E.Shell, R);
   }
 
+  /// Multi-update by path copying. For each pair of the sorted,
+  /// duplicate-free \p Entries whose key \p T holds, the value becomes
+  /// `Fn(oldValue, newValue)` and `OnSet(I, Node)` sees the node that now
+  /// holds entry I; `OnMissing(I)` is called for each entry whose key T
+  /// lacks, and T is left without it. Each node partitions the batch by
+  /// binary search, so only the union of the batch's search paths is
+  /// visited, each node once: a sole-owned node is updated in place, a
+  /// shared one is copied once, built with its new value. The shape does
+  /// not change, so nothing rebalances: K keys cost O(K log(n/K)) node
+  /// copies, where multiInsert's split/join also rebuilds the joins.
+  /// Forks as unionWith does. Consumes \p T.
+  template <class Comb, class Set, class Miss>
+  static Node *multiUpdate(Node *T, const std::pair<KeyT, ValT> *Entries,
+                           size_t N, const Comb &Fn, const Set &OnSet,
+                           const Miss &OnMissing) {
+    return multiUpdateRec(T, Entries, 0, N, Fn, OnSet, OnMissing);
+  }
+
   /// MultiInsert: union with a tree built over the sorted, duplicate-free
-  /// batch (the paper builds a tree over the batch and calls Union).
+  /// batch (the paper builds a tree over the batch and calls Union). The
+  /// graph's batch merges run multiUpdate first and send only the keys the
+  /// tree lacks through here.
   template <class Comb>
   static Node *multiInsert(Node *T, const std::pair<KeyT, ValT> *Entries,
                            size_t N, const Comb &Fn) {
@@ -783,6 +804,64 @@ template <class Entry> struct Tree {
   }
 
 private:
+  /// multiUpdate over the entries [Lo, Hi) and the subtree \p T.
+  template <class Comb, class Set, class Miss>
+  static Node *multiUpdateRec(Node *T, const std::pair<KeyT, ValT> *Entries,
+                              size_t Lo, size_t Hi, const Comb &Fn,
+                              const Set &OnSet, const Miss &OnMissing) {
+    if (Lo == Hi)
+      return T;
+    if (!T) {
+      for (size_t I = Lo; I < Hi; ++I)
+        OnMissing(I);
+      return nullptr;
+    }
+    size_t Mid = size_t(
+        std::lower_bound(Entries + Lo, Entries + Hi, T->Key,
+                         [](const std::pair<KeyT, ValT> &E, const KeyT &K) {
+                           return Entry::less(E.first, K);
+                         }) -
+        Entries);
+    bool Hit = Mid < Hi && !Entry::less(T->Key, Entries[Mid].first);
+    size_t RLo = Mid + (Hit ? 1 : 0);
+    // A sole owner reuses T in place. A shared T stays intact for its
+    // other owners: the copy takes its own references on the children
+    // (as expose does), and the recursion below copies their paths too.
+    bool Sole = T->Ref.load(std::memory_order_acquire) == 1;
+    Node *L = T->Left, *R = T->Right;
+    if (!Sole) {
+      retain(L);
+      retain(R);
+    }
+    bool Par = (size(L) >= SeqCutoff || workOf(L) >= WorkCutoff) &&
+               Mid > Lo && RLo < Hi;
+    auto DoL = [&] {
+      L = multiUpdateRec(L, Entries, Lo, Mid, Fn, OnSet, OnMissing);
+    };
+    auto DoR = [&] {
+      R = multiUpdateRec(R, Entries, RLo, Hi, Fn, OnSet, OnMissing);
+    };
+    if (Par)
+      parallelDo(DoL, DoR);
+    else {
+      DoL();
+      DoR();
+    }
+    Node *Out;
+    if (Sole) {
+      if (Hit)
+        T->Val = Fn(std::move(T->Val), Entries[Mid].second);
+      Out = linkShell(L, T, R);
+    } else {
+      Out = make(T->Key,
+                 Hit ? Fn(ValT(T->Val), Entries[Mid].second) : T->Val, L, R);
+      release(T);
+    }
+    if (Hit)
+      OnSet(Mid, static_cast<const Node *>(Out));
+    return Out;
+  }
+
   static void validateRec(const Node *T, const KeyT *Lo, const KeyT *Hi,
                           bool &Ok) {
     if (!T || !Ok)

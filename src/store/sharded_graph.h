@@ -35,8 +35,11 @@
 //      batch N+1's group/sort overlaps batch N's merge/install instead
 //      of serializing behind it.
 //   2. Merge: the touched shards' writer locks are taken in ascending
-//      order, then per-shard functional merges multiInsert the prepared
-//      groups in parallel — one writer per shard.
+//      order, then each touched shard applies its prepared groups with
+//      one path-copying multi-update of its vertex tree (new vertices go
+//      through multiInsert), the shards in parallel — one writer per
+//      shard. The merge records the new (view, degree) slot of every
+//      vertex it sets: the epoch's digest for the flat refresh.
 //   3. Install: under the commit lock, a new epoch is formed from the
 //      latest published epoch with the touched shards replaced, and
 //      published with one atomic shared_ptr store. Writers whose batches
@@ -62,8 +65,8 @@
 // current epoch — per-shard FlatSnapshotTs (two-level copy-on-write page
 // tables) indexed by shard-local id, read through FlatView (graph.h's
 // FlatGraphView over the S flats) for O(1) vertex access — refreshed
-// batch-to-batch from the merge pipeline's touched-vertex
-// digests instead of rebuilt (DESIGN.md Section 4).
+// batch-to-batch from the slot digests the merges recorded instead of
+// rebuilt (DESIGN.md Section 4).
 //
 //===----------------------------------------------------------------------===//
 
@@ -99,8 +102,10 @@ struct FlatMaintenanceStats {
 /// Tuning constants of the hot-flat maintenance path: refresh when the
 /// replayed digests touch at most universe / FlatRefreshDenominator
 /// distinct vertices, covering at most FlatReplayMaxEpochs epochs;
-/// anything else rebuilds. See DESIGN.md Section 4 for the crossover
-/// analysis and the crossover/* rows of BENCH_flat_snapshot.json.
+/// anything else rebuilds. The digest log holds at most that many
+/// epochs and universe / FlatRefreshDenominator recorded slots. See
+/// DESIGN.md Section 4 for the crossover analysis and the crossover/*
+/// rows of BENCH_flat_snapshot.json.
 inline constexpr uint64_t FlatRefreshDenominator = 8;
 inline constexpr size_t FlatReplayMaxEpochs = 64;
 
@@ -123,7 +128,9 @@ struct EdgeSpan {
 /// install whose delta was not captured) clears the log, so a
 /// successful replay() is always a complete, gap-free reconstruction and
 /// anything else falls back to the consumer's full rebuild. Bounded to
-/// \p MaxEntries recent installs; older consumers rebuild too.
+/// \p MaxEntries recent installs and, when record() is given a weight
+/// bound, to that total weight (the oldest entries go first); older
+/// consumers rebuild too.
 ///
 /// record() is called by writers (serialized by the store's commit
 /// lock); replay() by readers. Both take the internal mutex, so the log
@@ -132,21 +139,30 @@ template <class DeltaT> class DeltaLogT {
   struct Entry {
     uint64_t Seq;
     DeltaT Delta;
+    uint64_t Weight;
   };
 
 public:
   explicit DeltaLogT(size_t MaxEntries = 64) : MaxEntries(MaxEntries) {}
 
-  /// Record the delta of the install that produced \p Seq. Clears the
-  /// log first when \p Seq does not follow the last recorded one (some
-  /// install went unrecorded; spans across it must rebuild).
-  void record(uint64_t Seq, DeltaT Delta) {
+  /// Record the delta of the install that produced \p Seq, of size
+  /// \p Weight, then drop the oldest entries until the log holds at most
+  /// MaxEntries entries of total weight at most \p MaxWeight (a delta
+  /// heavier than the bound leaves the log empty). Clears the log first
+  /// when \p Seq does not follow the last recorded one (some install
+  /// went unrecorded; spans across it must rebuild).
+  void record(uint64_t Seq, DeltaT Delta, uint64_t Weight = 0,
+              uint64_t MaxWeight = UINT64_MAX) {
     std::lock_guard<std::mutex> Lock(M);
     if (!Entries.empty() && Entries.back().Seq + 1 != Seq)
-      Entries.clear();
-    Entries.push_back(Entry{Seq, std::move(Delta)});
-    while (Entries.size() > MaxEntries)
+      clearLocked();
+    Entries.push_back(Entry{Seq, std::move(Delta), Weight});
+    TotalWeight += Weight;
+    while (!Entries.empty() &&
+           (Entries.size() > MaxEntries || TotalWeight > MaxWeight)) {
+      TotalWeight -= Entries.front().Weight;
       Entries.pop_front();
+    }
   }
 
   /// Drop every recorded delta (e.g. after an install whose delta was
@@ -154,7 +170,7 @@ public:
   /// report non-coverage.
   void clear() {
     std::lock_guard<std::mutex> Lock(M);
-    Entries.clear();
+    clearLocked();
   }
 
   /// Invoke \p Fn on the delta of every sequence number in (\p From,
@@ -180,8 +196,14 @@ public:
   }
 
 private:
+  void clearLocked() {
+    Entries.clear();
+    TotalWeight = 0;
+  }
+
   mutable std::mutex M;
   std::deque<Entry> Entries;
+  uint64_t TotalWeight = 0;
   size_t MaxEntries;
 };
 
@@ -351,8 +373,7 @@ public:
   private:
     friend class ShardedGraphStoreT;
     std::vector<std::optional<PairScratch<VertexId, EdgeSet>>>
-        Groups;                                 // per shard
-    std::vector<std::vector<VertexId>> Touched; // per shard
+        Groups;                  // per shard
     std::vector<EdgeSpan> Spans; ///< original batches, for the WAL
     bool Insert = false;
   };
@@ -370,7 +391,6 @@ public:
     // the vector must never reallocate; moving the vector itself is a
     // buffer steal and stays legal).
     P.Groups = std::vector<std::optional<PairScratch<VertexId, EdgeSet>>>(S);
-    P.Touched.resize(S);
     size_t K = 0;
     for (size_t I = 0; I < N; ++I)
       K += Spans[I].Size;
@@ -403,8 +423,7 @@ public:
     parallelFor(0, S, [&](size_t Sh) {
       size_t Lo = ShardLoP[Sh], Hi = ShardLoP[Sh + 1];
       if (Hi > Lo)
-        groupSpan<EdgeSet>(PartsP + Lo, Hi - Lo, Params, P.Groups[Sh],
-                           &P.Touched[Sh]);
+        groupSpan<EdgeSet>(PartsP + Lo, Hi - Lo, Params, P.Groups[Sh]);
     }, 1);
     return P;
   }
@@ -423,8 +442,8 @@ public:
     for (size_t Sh = 0; Sh < S; ++Sh)
       if (TouchedShP[Sh])
         ShardLocks[Sh].lock();
-    return mergeInstall(P.Groups, P.Touched, TouchedShP, P.Spans.data(),
-                        P.Spans.size(), P.Insert);
+    return mergeInstall(P.Groups, TouchedShP, P.Spans.data(), P.Spans.size(),
+                        P.Insert);
   }
 
   //===--------------------------------------------------------------------===
@@ -505,22 +524,26 @@ public:
 
     std::shared_ptr<FlatEpoch> New;
     if (Cached) {
-      // Union the replay span's digests per shard.
-      std::vector<std::vector<VertexId>> Touched(S);
+      // Union the replay span's digests per shard. Epochs replay oldest
+      // first and a vertex's newest slot wins: the older ones may point
+      // at edge sets no live epoch holds, and are dropped unread.
+      std::vector<std::vector<Slot>> Touched(S);
+      std::vector<uint32_t> Parts(S, 0);
       bool Covered = Digests.replay(
           Cached->BatchSeq, Seq, [&](const ShardDigest &D) {
-            for (const auto &P : D)
+            for (const auto &P : D) {
               Touched[P.first].insert(Touched[P.first].end(),
                                       P.second.begin(), P.second.end());
+              ++Parts[P.first];
+            }
           });
       // Threshold on the *distinct* touched union (hot vertices hit by
       // several replayed batches count once).
       uint64_t Total = 0;
       if (Covered) {
         parallelFor(0, S, [&](size_t Sh) {
-          auto &T = Touched[Sh];
-          parallelSort(T);
-          T.erase(std::unique(T.begin(), T.end()), T.end());
+          if (Parts[Sh] > 1)
+            newestPerKey(Touched[Sh]);
         }, 1);
         for (const auto &T : Touched)
           Total += T.size();
@@ -700,9 +723,28 @@ private:
     Durable->dropRecoveredPayload();
   }
 
-  /// Per-epoch touched digest: (shard, ascending touched vertex ids) for
-  /// every shard the batch touched.
-  using ShardDigest = std::vector<std::pair<uint32_t, std::vector<VertexId>>>;
+  using Slot = VertexSlot<EdgeSet>;
+  /// Per-epoch touched digest: (shard, the slots its merge set, ascending
+  /// by vertex) for every shard the install touched. A slot stays valid
+  /// while a later epoch that did not touch its vertex is alive
+  /// (VertexSlot), which is every epoch a replay ending at a live epoch
+  /// reads it for.
+  using ShardDigest = std::vector<std::pair<uint32_t, std::vector<Slot>>>;
+
+  /// Sort \p T by key, keeping for each key only its last slot in the
+  /// input order (the newest, when digests are appended oldest first).
+  static void newestPerKey(std::vector<Slot> &T) {
+    std::stable_sort(T.begin(), T.end(), [](const Slot &A, const Slot &B) {
+      return A.Key < B.Key;
+    });
+    size_t Out = 0;
+    for (size_t I = 0; I < T.size(); ++I) {
+      if (I + 1 < T.size() && T[I + 1].Key == T[I].Key)
+        continue;
+      T[Out++] = T[I];
+    }
+    T.resize(Out);
+  }
 
   static size_t log2Ceil(size_t S) {
     size_t L = 0;
@@ -743,19 +785,19 @@ private:
   }
 
   /// Shared merge + install tail. Preconditions: the shards flagged in
-  /// \p TouchedShP are locked (ascending), \p Groups/\p Touched hold
-  /// their prepared groups and digests, and \p Spans are the \p NumSpans
+  /// \p TouchedShP are locked (ascending), \p Groups holds their prepared
+  /// groups, and \p Spans are the \p NumSpans
   /// original batches the groups coalesce (WAL payloads, one record
   /// each). Publishes ONE epoch advancing BatchSeq by \p NumSpans and
   /// returns the last batch's sequence number.
   uint64_t mergeInstall(
       std::vector<std::optional<PairScratch<VertexId, EdgeSet>>> &Groups,
-      std::vector<std::vector<VertexId>> &Touched, const uint8_t *TouchedShP,
-      const EdgeSpan *Spans, size_t NumSpans, bool Insert) {
+      const uint8_t *TouchedShP, const EdgeSpan *Spans, size_t NumSpans,
+      bool Insert) {
     size_t S = numShards();
     // --- Merge: per-shard functional merges of the prepared groups, in
     // parallel (one writer per shard; concurrent batches on disjoint
-    // shards overlap fully). ---
+    // shards overlap fully). Each records the slots it set. ---
     using PerShard = typename std::aligned_storage<sizeof(Snapshot),
                                                    alignof(Snapshot)>::type;
     CtxArray<PerShard> MergedMem(S);
@@ -766,14 +808,18 @@ private:
     // are dropped: releasing it earlier could make this writer reclaim a
     // superseded epoch while holding locks others wait on.
     Ref Base = acquire();
+    std::vector<std::vector<Slot>> Slots(S);
     parallelFor(0, S, [&](size_t Sh) {
+      if (!TouchedShP[Sh]) {
+        new (&Merged[Sh]) Snapshot();
+        return;
+      }
+      const auto *G = Groups[Sh]->data();
+      size_t NG = Groups[Sh]->size();
+      Slots[Sh].resize(NG);
       new (&Merged[Sh]) Snapshot(
-          TouchedShP[Sh]
-              ? (Insert ? Base.shard(Sh).insertGrouped(Groups[Sh]->data(),
-                                                       Groups[Sh]->size())
-                        : Base.shard(Sh).deleteGrouped(Groups[Sh]->data(),
-                                                       Groups[Sh]->size()))
-              : Snapshot());
+          Insert ? Base.shard(Sh).insertGrouped(G, NG, Slots[Sh].data())
+                 : Base.shard(Sh).deleteGrouped(G, NG, Slots[Sh].data()));
     }, 1);
 
     // --- Install: publish a new epoch formed from the latest committed
@@ -817,23 +863,20 @@ private:
       // records EMPTY digests at the intermediate sequence numbers
       // (never published as epochs — no reader replays a span ending
       // on one) and the union digest at the final one: any replay span
-      // crossing the group sees exactly its touched set. A digest above
-      // the refresh threshold guarantees any span containing it
-      // rebuilds; clearing skips the pointless replay on readers.
+      // crossing the group sees exactly its touched set. The log keeps
+      // at most DigestCap slots (the refresh threshold, counted in
+      // recorded rather than distinct slots), so a replay past an
+      // evicted digest rebuilds.
       ShardDigest Digest;
       uint64_t Total = 0;
       for (size_t Sh = 0; Sh < S; ++Sh)
-        if (!Touched[Sh].empty()) {
-          Total += Touched[Sh].size();
-          Digest.emplace_back(uint32_t(Sh), std::move(Touched[Sh]));
+        if (!Slots[Sh].empty()) {
+          Total += Slots[Sh].size();
+          Digest.emplace_back(uint32_t(Sh), std::move(Slots[Sh]));
         }
-      if (Total <= DigestCap) {
-        for (size_t I = 1; I < NumSpans; ++I)
-          Digests.record(Prev + I, ShardDigest{});
-        Digests.record(Seq, std::move(Digest));
-      } else {
-        Digests.clear();
-      }
+      for (size_t I = 1; I < NumSpans; ++I)
+        Digests.record(Prev + I, ShardDigest{}, 0, DigestCap);
+      Digests.record(Seq, std::move(Digest), Total, DigestCap);
       PublishedSeqV.store(Seq, std::memory_order_release);
     } catch (...) {
       // A poisoned WAL (or an injected crash) must not strand the shard

@@ -530,3 +530,131 @@ TYPED_TEST(FlatEdges, SupersededFlatAnswersForItsEpochThenIsReclaimed) {
   EXPECT_EQ(liveCountedBytes(), BaseBytes);
   EXPECT_EQ(totalPoolLiveBytes(), BaseNodes);
 }
+
+//===----------------------------------------------------------------------===
+// Slot digests: the merge records each touched vertex's new slot, and a
+// refresh writes those slots instead of looking the vertices up. Every
+// refreshed flat must equal a fresh build of the same epoch.
+//===----------------------------------------------------------------------===
+
+namespace {
+
+template <class Store> class SlotDigest : public ::testing::Test {};
+TYPED_TEST_SUITE(SlotDigest, FlatStores);
+
+/// Sources Base, Base + Step, ... (Count of them).
+std::vector<VertexId> strided(VertexId Base, VertexId Step, size_t Count) {
+  std::vector<VertexId> Out;
+  for (size_t I = 0; I < Count; ++I)
+    Out.push_back(Base + VertexId(I) * Step);
+  return Out;
+}
+
+} // namespace
+
+TYPED_TEST(SlotDigest, ReplayKeepsNewestSlotPerVertex) {
+  using Store = TypeParam;
+  for (size_t S : {1u, 4u}) {
+    const VertexId N = 1024 * VertexId(S);
+    Store St(S, N, randomBatch(N, 3000, 160 + S));
+    (void)St.acquireFlat();
+    // The same vertices in every epoch: inserted, deleted down to empty,
+    // re-inserted, and deleted again, all replayed by one refresh.
+    auto Hot = strided(3, 5, 12);
+    St.insertBatch(edgesFrom(Hot, N));
+    St.insertBatch(edgesFrom(strided(4, 7, 12), N));
+    St.deleteBatch(allEdgesOf(St, Hot));
+    St.insertBatch(edgesFrom({Hot[0], Hot[5]}, N));
+    auto FE = St.acquireFlat();
+    expectMatchesRebuild(St, *FE);
+    EXPECT_EQ(FE->view().degree(Hot[1]), 0u);
+    EXPECT_GT(FE->view().degree(Hot[5]), 0u);
+    // Ending on the delete: the newest slot of each is empty.
+    St.deleteBatch(allEdgesOf(St, Hot));
+    FE = St.acquireFlat();
+    expectMatchesRebuild(St, *FE);
+    for (VertexId V : Hot)
+      EXPECT_EQ(FE->view().degree(V), 0u) << "vertex " << V;
+    auto Stats = St.flatStats();
+    EXPECT_EQ(Stats.Rebuilds, 1u) << S << " shards";
+    EXPECT_EQ(Stats.Refreshes, 2u) << S << " shards";
+  }
+}
+
+TYPED_TEST(SlotDigest, CoalescedInstallsRefresh) {
+  using Store = TypeParam;
+  for (size_t S : {1u, 4u}) {
+    const VertexId N = 1024 * VertexId(S);
+    Store St(S, N, randomBatch(N, 3000, 170 + S));
+    (void)St.acquireFlat();
+    // Three batches in one install, two of them on the same vertices, then
+    // a plain batch: the refresh spans the group's empty intermediate
+    // digests.
+    auto A = edgesFrom(strided(10, 3, 8), N);
+    auto B = edgesFrom(strided(11, 3, 8), N);
+    auto C = edgesFrom(strided(10, 6, 4), N);
+    EdgeSpan Spans[] = {{A.data(), A.size()},
+                        {B.data(), B.size()},
+                        {C.data(), C.size()}};
+    EXPECT_EQ(St.applySpans(Spans, 3, /*Insert=*/true), 3u);
+    expectMatchesRebuild(St, *St.acquireFlat());
+    EdgeSpan Del[] = {{A.data(), A.size()}, {C.data(), C.size()}};
+    St.applySpans(Del, 2, /*Insert=*/false);
+    St.insertBatch(edgesFrom(strided(12, 9, 5), N));
+    expectMatchesRebuild(St, *St.acquireFlat());
+    auto Stats = St.flatStats();
+    EXPECT_EQ(Stats.Rebuilds, 1u) << S << " shards";
+    EXPECT_EQ(Stats.Refreshes, 2u) << S << " shards";
+  }
+}
+
+TYPED_TEST(SlotDigest, NewVerticesInsideAndPastTheUniverse) {
+  using Store = TypeParam;
+  for (size_t S : {1u, 4u}) {
+    const VertexId Sv = VertexId(S);
+    const VertexId N = 512 * Sv;
+    Store St(S, N, randomBatch(N, 2000, 180 + S));
+    (void)St.acquireFlat();
+    // Growth leaves unmaterialized ids between N and the new vertex.
+    St.insertBatch(edgesFrom({N + 300 * Sv}, N));
+    expectMatchesRebuild(St, *St.acquireFlat());
+    // Those ids are inside the flat's universe now but not in the tree:
+    // the merge inserts them, and their slots come from the new tree.
+    St.insertBatch(edgesFrom({N + 7 * Sv, N + 100 * Sv + Sv - 1, 5}, N));
+    // A delete from a still-missing id is ignored.
+    St.deleteBatch({{N + 8 * Sv, 1}});
+    St.insertBatch(edgesFrom({N + 7 * Sv, N + 400 * Sv}, N));
+    auto FE = St.acquireFlat();
+    expectMatchesRebuild(St, *FE);
+    EXPECT_GT(FE->view().degree(N + 7 * Sv), 0u);
+    auto Stats = St.flatStats();
+    EXPECT_EQ(Stats.Rebuilds, 1u) << S << " shards";
+    EXPECT_EQ(Stats.Refreshes, 2u) << S << " shards";
+  }
+}
+
+TYPED_TEST(SlotDigest, ReplayPastAnEvictedDigestRebuilds) {
+  using Store = TypeParam;
+  const VertexId N = 1024; // the log holds at most N / 8 = 128 slots
+  Store St(1, N, randomBatch(N, 3000, 190));
+  (void)St.acquireFlat();
+  // 40 distinct vertices, touched by 8 batches: 320 recorded slots. The
+  // distinct union is small, but the oldest digests were evicted, so the
+  // replay cannot cover the span and the flat is rebuilt.
+  auto Hot = strided(1, 25, 40);
+  for (int I = 0; I < 8; ++I) {
+    if (I % 2)
+      St.deleteBatch(allEdgesOf(St, Hot));
+    else
+      St.insertBatch(edgesFrom(Hot, N));
+  }
+  expectMatchesRebuild(St, *St.acquireFlat());
+  EXPECT_EQ(St.flatStats().Rebuilds, 2u);
+  EXPECT_EQ(St.flatStats().Refreshes, 0u);
+  // Within the bound again: three batches, 120 slots, one refresh.
+  for (int I = 0; I < 3; ++I)
+    St.insertBatch(edgesFrom(Hot, N));
+  expectMatchesRebuild(St, *St.acquireFlat());
+  EXPECT_EQ(St.flatStats().Rebuilds, 2u);
+  EXPECT_EQ(St.flatStats().Refreshes, 1u);
+}

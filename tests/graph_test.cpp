@@ -245,6 +245,63 @@ TYPED_TEST(GraphRepTest, LeakFreeAcrossUpdates) {
   EXPECT_EQ(totalPoolLiveBytes(), BaseNodes) << "leaked tree nodes";
 }
 
+namespace {
+
+template <class GraphT> class BatchMergeTest : public ::testing::Test {};
+using MergeReps = ::testing::Types<Graph, HybridGraph>;
+
+/// In-order (vertex, neighbours) of every vertex with an edge.
+template <class G>
+std::vector<std::pair<VertexId, std::vector<VertexId>>>
+nonEmptyContents(const G &Gr) {
+  std::vector<std::pair<VertexId, std::vector<VertexId>>> Out;
+  G::VT::forEachSeq(Gr.root(), [&](VertexId V, const auto &S) {
+    if (!S.empty())
+      Out.push_back({V, S.toVector()});
+  });
+  return Out;
+}
+
+} // namespace
+
+TYPED_TEST_SUITE(BatchMergeTest, MergeReps);
+
+// The path-copying batch merge against a from-scratch build of the same
+// edge set, over small and bulk batches, deletes of present and absent
+// edges, and sources past the built universe (new vertices, which go
+// through multiInsert; deletes from them are ignored).
+TYPED_TEST(BatchMergeTest, MatchesFromEdgesRebuild) {
+  const VertexId N = 400;
+  auto Init = randomEdgeBatch(3000, N, 31);
+  TypeParam G = TypeParam::fromEdges(N, Init);
+  std::set<EdgePair> Edges(Init.begin(), Init.end());
+  for (int Round = 0; Round < 18; ++Round) {
+    size_t K = Round % 4 == 0 ? 2500 : 12;
+    auto Batch = randomEdgeBatch(K, N + 60, 800 + Round);
+    if (Round % 3 == 2) {
+      // Half of the current edges in a stride, plus the random ones.
+      size_t I = 0;
+      for (const EdgePair &E : Edges)
+        if (I++ % 2 == size_t(Round) % 2 && Batch.size() < 2 * K)
+          Batch.push_back(E);
+      G = G.deleteEdges(Batch);
+      for (const EdgePair &E : Batch)
+        Edges.erase(E);
+    } else {
+      G = G.insertEdges(Batch);
+      Edges.insert(Batch.begin(), Batch.end());
+    }
+    TypeParam Rebuilt = TypeParam::fromEdges(
+        N, std::vector<EdgePair>(Edges.begin(), Edges.end()));
+    ASSERT_TRUE(G.checkInvariants()) << "round " << Round;
+    ASSERT_EQ(G.numEdges(), Edges.size()) << "round " << Round;
+    ASSERT_EQ(nonEmptyContents(G), nonEmptyContents(Rebuilt))
+        << "round " << Round;
+    for (VertexId V = 0; V < N; ++V)
+      ASSERT_TRUE(G.hasVertex(V)) << "vertex " << V;
+  }
+}
+
 TEST(GraphMemory, CompressedSmallerThanUncompressed) {
   // Table 2's ordering: DE < No-DE < uncompressed trees.
   auto Edges = rmatGraphEdges(12, 8, 66);

@@ -311,6 +311,143 @@ TEST(PamSetOps, UpdateExistingIgnoresUnknownKeys) {
   M::release(T);
 }
 
+//===----------------------------------------------------------------------===
+// multiUpdate: path-copying batch updates against a std::map reference.
+//===----------------------------------------------------------------------===
+
+namespace {
+
+using MapPairs = std::vector<std::pair<uint32_t, int64_t>>;
+
+/// Distinct nodes on the search paths of \p Keys in \p T: the nodes a
+/// path-copying update of a shared tree must copy.
+size_t searchPathNodes(const M::Node *T, const std::vector<uint32_t> &Keys) {
+  std::set<const M::Node *> Seen;
+  for (uint32_t K : Keys)
+    for (const M::Node *N = T; N;) {
+      Seen.insert(N);
+      if (K < N->Key)
+        N = N->Left;
+      else if (N->Key < K)
+        N = N->Right;
+      else
+        break;
+    }
+  return Seen.size();
+}
+
+std::map<uint32_t, int64_t> mapOf(const M::Node *T) {
+  std::map<uint32_t, int64_t> Out;
+  M::forEachSeq(T, [&](uint32_t K, int64_t V) { Out[K] = V; });
+  return Out;
+}
+
+/// Run multiUpdate (values add) of \p Batch over a tree of \p Init, sole
+/// owned or pinned by a second root, and check it against the reference.
+void checkMultiUpdate(const MapPairs &Init, const MapPairs &Batch,
+                      bool Pinned) {
+  SCOPED_TRACE(testing::Message() << "tree " << Init.size() << ", batch "
+                                  << Batch.size() << ", pinned " << Pinned);
+  int64_t Base = livePamNodes();
+  {
+    M::Node *T = M::buildSorted(Init.data(), Init.size());
+    std::map<uint32_t, int64_t> Before = mapOf(T), Ref = Before;
+    std::vector<uint32_t> Keys, Absent;
+    for (const auto &[K, V] : Batch) {
+      Keys.push_back(K);
+      auto It = Ref.find(K);
+      if (It != Ref.end())
+        It->second += V;
+      else
+        Absent.push_back(K);
+    }
+    M::Node *Pin = nullptr;
+    size_t PathNodes = 0;
+    if (Pinned) {
+      Pin = T;
+      M::retain(Pin);
+      PathNodes = searchPathNodes(T, Keys);
+    }
+    int64_t Live = livePamNodes();
+    std::vector<int> SetCalls(Batch.size(), 0), MissCalls(Batch.size(), 0);
+    T = M::multiUpdate(
+        T, Batch.data(), Batch.size(),
+        [](int64_t Old, int64_t New) { return Old + New; },
+        [&](size_t I, const M::Node *N) {
+          ++SetCalls[I];
+          EXPECT_EQ(N->Key, Batch[I].first);
+          EXPECT_EQ(N->Val, Ref[N->Key]);
+        },
+        [&](size_t I) { ++MissCalls[I]; });
+    // Pinned: exactly the search-path nodes are new; sole owned: none.
+    EXPECT_EQ(livePamNodes() - Live, int64_t(PathNodes));
+    EXPECT_TRUE(M::validate(T));
+    EXPECT_EQ(mapOf(T), Ref);
+    int64_t Sum = 0;
+    for (const auto &KV : Ref)
+      Sum += KV.second;
+    EXPECT_EQ(M::aug(T), Sum);
+    std::vector<uint32_t> Missed;
+    for (size_t I = 0; I < Batch.size(); ++I) {
+      EXPECT_EQ(SetCalls[I] + MissCalls[I], 1) << "entry " << I;
+      if (MissCalls[I])
+        Missed.push_back(Batch[I].first);
+    }
+    EXPECT_EQ(Missed, Absent);
+    if (Pin) {
+      EXPECT_TRUE(M::validate(Pin));
+      EXPECT_EQ(mapOf(Pin), Before) << "pinned version must not change";
+      M::release(Pin);
+    }
+    M::release(T);
+  }
+  EXPECT_EQ(livePamNodes(), Base) << "all nodes must be reclaimed";
+}
+
+} // namespace
+
+TEST(PamMultiUpdate, MatchesReferenceOnRandomBatches) {
+  for (uint64_t Seed = 1; Seed <= 6; ++Seed) {
+    size_t N = 1 + hashAt(Seed, 0) % 3000;
+    auto Keys = sortedUnique(randomKeys(N, Seed, 10000));
+    MapPairs Init;
+    for (uint32_t K : Keys)
+      Init.push_back({K, int64_t(hashAt(Seed, K) % 100)});
+    // Present and absent keys mixed (the range is wider than the tree's).
+    auto BatchKeys =
+        sortedUnique(randomKeys(1 + hashAt(Seed, 1) % 400, Seed + 50, 12000));
+    MapPairs Batch;
+    for (uint32_t K : BatchKeys)
+      Batch.push_back({K, int64_t(K % 7 + 1)});
+    MapPairs Every;
+    for (const auto &KV : Init)
+      Every.push_back({KV.first, 3});
+    const MapPairs Ends = {{Init.front().first, 5}, {Init.back().first, 9}};
+    for (bool Pinned : {false, true}) {
+      checkMultiUpdate(Init, Batch, Pinned);
+      checkMultiUpdate(Init, {}, Pinned);
+      checkMultiUpdate(Init, Every, Pinned);
+      checkMultiUpdate(Init, Ends, Pinned);
+    }
+  }
+}
+
+TEST(PamMultiUpdate, EmptyTreeReportsEveryKeyMissing) {
+  checkMultiUpdate({}, {{1, 1}, {4, 2}, {9, 3}}, false);
+  checkMultiUpdate({}, {}, false);
+}
+
+TEST(PamMultiUpdate, LargeBatchForksAndMatches) {
+  // Big enough on both sides of the root to take the parallel fork.
+  MapPairs Init, Batch;
+  for (uint32_t K = 0; K < 40000; K += 2)
+    Init.push_back({K, 1});
+  for (uint32_t K = 0; K < 40000; K += 3)
+    Batch.push_back({K, 2});
+  for (bool Pinned : {false, true})
+    checkMultiUpdate(Init, Batch, Pinned);
+}
+
 TEST(PamAug, SumAugTracksValues) {
   M::Node *T = nullptr;
   int64_t Sum = 0;

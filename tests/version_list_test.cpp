@@ -76,6 +76,29 @@ TEST(DeltaLog, BoundedWindowEvictsOldestOnWraparound) {
   EXPECT_EQ(Count, 10u);
 }
 
+TEST(DeltaLog, WeightBoundEvictsOldest) {
+  DeltaLogT<int> Log;
+  // Weights 3 each under a bound of 10: at most three entries survive.
+  for (uint64_t S = 1; S <= 5; ++S)
+    Log.record(S, int(S), 3, 10);
+  EXPECT_EQ(Log.size(), 3u);
+  EXPECT_FALSE(Log.replay(1, 5, [&](int) { FAIL(); }));
+  std::vector<int> Got;
+  EXPECT_TRUE(Log.replay(2, 5, [&](int D) { Got.push_back(D); }));
+  EXPECT_EQ(Got, (std::vector<int>{3, 4, 5}));
+  // Weightless entries never evict; one heavier than the bound empties
+  // the log, itself included.
+  Log.record(6, 6, 0, 10);
+  EXPECT_EQ(Log.size(), 4u);
+  Log.record(7, 7, 11, 10);
+  EXPECT_EQ(Log.size(), 0u);
+  EXPECT_FALSE(Log.replay(6, 7, [&](int) { FAIL(); }));
+  // Recording resumes with the weight the log was emptied of.
+  Log.record(8, 8, 10, 10);
+  EXPECT_EQ(Log.size(), 1u);
+  EXPECT_TRUE(Log.replay(7, 8, [&](int) {}));
+}
+
 TEST(DeltaLog, ReplayAfterClearRequiresFreshHistory) {
   DeltaLogT<int> Log;
   for (uint64_t S = 1; S <= 4; ++S)
