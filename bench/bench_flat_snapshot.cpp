@@ -324,7 +324,9 @@ void runGeometry(const BenchConfig &C, const BenchInput &In,
 /// Refresh of n / Den uniformly spread touched vertices (the successor is
 /// the same snapshot, so every slot is rewritten but none changes)
 /// against a full rebuild, at the default geometry. The slots are looked
-/// up once, untimed: a store's refresh takes them from the merge.
+/// up once, untimed: a store's refresh takes them from the merge. The
+/// sweep runs past the store's threshold (n / FlatRefreshDenominator) to
+/// n/2.
 template <class EdgeSet>
 void runCrossover(const BenchConfig &C, const BenchInput &In,
                   const char *StoreName) {
@@ -332,7 +334,7 @@ void runCrossover(const BenchConfig &C, const BenchInput &In,
   auto G = GraphSnapshotT<EdgeSet>::fromEdges(In.N, In.Edges);
   FlatG Base(G);
   double RebuildT = benchTime(C.Rounds, [&] { FlatG FS(G); });
-  for (uint64_t Den : {64, 32, 16, 8}) {
+  for (uint64_t Den : {64, 32, 16, 8, 4, 2}) {
     std::vector<VertexId> Keys;
     for (VertexId V = 0; V < In.N; ++V)
       if (hashAt(C.Seed + Den, V) % Den == 0)
@@ -344,14 +346,14 @@ void runCrossover(const BenchConfig &C, const BenchInput &In,
     std::string Scope = std::string("crossover/") + StoreName + "/" +
                         In.Name + "/n_over_" + std::to_string(Den);
     recordMetric(Scope + "/rebuild_s", RebuildT);
-    recordMetric(Scope + "/refresh_s", RefreshT);
-    recordMetric(Scope + "/speedup", RebuildT / RefreshT);
+    recordMetric(Scope + "/refresh_slots_s", RefreshT);
+    recordMetric(Scope + "/speedup_slots", RebuildT / RefreshT);
     std::printf("%-28s %10zu %12s %12s %8.2fx%s\n",
                 (std::string(StoreName) + "/" + In.Name + " n/" +
                  std::to_string(Den)).c_str(),
                 Keys.size(), fmtTime(RebuildT).c_str(),
                 fmtTime(RefreshT).c_str(), RebuildT / RefreshT,
-                compareSuffix(Scope + "/speedup", RebuildT / RefreshT)
+                compareSuffix(Scope + "/speedup_slots", RebuildT / RefreshT)
                     .c_str());
   }
 }

@@ -309,13 +309,15 @@ public:
       return WeightedEdge<W>{Edges[I].first, Edges[I].second, W()};
     });
     auto Pairs = groupBySource(std::move(Weighted));
-    Node *Batch = VT::buildSorted(Pairs.data(), Pairs.size());
     Node *Mine = Root;
     VT::retain(Mine);
-    Node *NewRoot = VT::updateExisting(
-        Mine, Batch, [](EdgeSet Old, EdgeSet Del) {
+    // Unknown sources are ignored: a delete must not create a vertex.
+    Node *NewRoot = VT::multiUpdate(
+        Mine, Pairs.data(), Pairs.size(),
+        [](EdgeSet Old, EdgeSet Del) {
           return EdgeSet::minus(std::move(Old), std::move(Del));
-        });
+        },
+        [](size_t, const Node *) {}, [](size_t) {});
     return WeightedGraphT(NewRoot);
   }
 

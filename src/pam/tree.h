@@ -579,48 +579,17 @@ template <class Entry> struct Tree {
     return join2(L, R);
   }
 
-  /// For each entry of \p B whose key exists in \p A, replace A's value by
-  /// `Fn(valueInA, valueInB)`. Keys of B absent from A are ignored. This is
-  /// the update-combine primitive used by batch edge deletions, where
-  /// deletion sets for unknown vertices must not create vertices. Consumes
-  /// both.
-  template <class Comb>
-  static Node *updateExisting(Node *A, Node *B, const Comb &Fn) {
-    if (!A) {
-      release(B);
-      return nullptr;
-    }
-    if (!B)
-      return A;
-    Exposed E = expose(A);
-    SplitResult S = split(B, E.Shell->Key);
-    if (S.Found)
-      E.Shell->Val = Fn(std::move(E.Shell->Val), std::move(S.Val));
-    Node *L = nullptr, *R = nullptr;
-    bool Par = size(E.Left) + size(S.Left) >= SeqCutoff ||
-               workOf(E.Left) + workOf(S.Left) >= WorkCutoff;
-    auto DoL = [&] { L = updateExisting(E.Left, S.Left, Fn); };
-    auto DoR = [&] { R = updateExisting(E.Right, S.Right, Fn); };
-    if (Par)
-      parallelDo(DoL, DoR);
-    else {
-      DoL();
-      DoR();
-    }
-    return join(L, E.Shell, R);
-  }
-
   /// Multi-update by path copying. For each pair of the sorted,
   /// duplicate-free \p Entries whose key \p T holds, the value becomes
   /// `Fn(oldValue, newValue)` and `OnSet(I, Node)` sees the node that now
   /// holds entry I; `OnMissing(I)` is called for each entry whose key T
-  /// lacks, and T is left without it. Each node partitions the batch by
-  /// binary search, so only the union of the batch's search paths is
-  /// visited, each node once: a sole-owned node is updated in place, a
-  /// shared one is copied once, built with its new value. The shape does
-  /// not change, so nothing rebalances: K keys cost O(K log(n/K)) node
-  /// copies, where multiInsert's split/join also rebuilds the joins.
-  /// Forks as unionWith does. Consumes \p T.
+  /// lacks, and T is left without it (a delete batch must not create
+  /// keys). Each node partitions the batch by binary search, so only the
+  /// union of the batch's search paths is visited, each node once, and
+  /// copied once, built with its new value. The shape does not change, so
+  /// nothing rebalances: K keys cost O(K log(n/K)) node copies, where
+  /// multiInsert's split/join also rebuilds the joins. Forks as unionWith
+  /// does. Consumes \p T.
   template <class Comb, class Set, class Miss>
   static Node *multiUpdate(Node *T, const std::pair<KeyT, ValT> *Entries,
                            size_t N, const Comb &Fn, const Set &OnSet,
@@ -824,15 +793,12 @@ private:
         Entries);
     bool Hit = Mid < Hi && !Entry::less(T->Key, Entries[Mid].first);
     size_t RLo = Mid + (Hit ? 1 : 0);
-    // A sole owner reuses T in place. A shared T stays intact for its
-    // other owners: the copy takes its own references on the children
-    // (as expose does), and the recursion below copies their paths too.
-    bool Sole = T->Ref.load(std::memory_order_acquire) == 1;
+    // T stays intact for its other owners (the graph's callers always
+    // pin the old root): the copy takes its own references on the
+    // children, and the recursion below copies their paths too.
     Node *L = T->Left, *R = T->Right;
-    if (!Sole) {
-      retain(L);
-      retain(R);
-    }
+    retain(L);
+    retain(R);
     bool Par = (size(L) >= SeqCutoff || workOf(L) >= WorkCutoff) &&
                Mid > Lo && RLo < Hi;
     auto DoL = [&] {
@@ -847,16 +813,9 @@ private:
       DoL();
       DoR();
     }
-    Node *Out;
-    if (Sole) {
-      if (Hit)
-        T->Val = Fn(std::move(T->Val), Entries[Mid].second);
-      Out = linkShell(L, T, R);
-    } else {
-      Out = make(T->Key,
-                 Hit ? Fn(ValT(T->Val), Entries[Mid].second) : T->Val, L, R);
-      release(T);
-    }
+    Node *Out = make(
+        T->Key, Hit ? Fn(ValT(T->Val), Entries[Mid].second) : T->Val, L, R);
+    release(T);
     if (Hit)
       OnSet(Mid, static_cast<const Node *>(Out));
     return Out;

@@ -103,9 +103,11 @@ struct FlatMaintenanceStats {
 /// replayed digests touch at most universe / FlatRefreshDenominator
 /// distinct vertices, covering at most FlatReplayMaxEpochs epochs;
 /// anything else rebuilds. The digest log holds at most that many
-/// epochs and universe / FlatRefreshDenominator recorded slots. See
-/// DESIGN.md Section 4 for the crossover analysis and the crossover/*
-/// rows of BENCH_flat_snapshot.json.
+/// epochs and universe / FlatRefreshDenominator recorded slots. With the
+/// slots from the merge a refresh beats a rebuild past n/2, so the
+/// denominator is a memory bound on the log, not a measured crossover;
+/// see DESIGN.md Section 4 and the crossover/* rows of
+/// BENCH_flat_snapshot.json.
 inline constexpr uint64_t FlatRefreshDenominator = 8;
 inline constexpr size_t FlatReplayMaxEpochs = 64;
 

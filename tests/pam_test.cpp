@@ -296,21 +296,6 @@ TEST(PamSetOps, MultiInsertCombines) {
   M::release(T);
 }
 
-TEST(PamSetOps, UpdateExistingIgnoresUnknownKeys) {
-  std::vector<std::pair<uint32_t, int64_t>> Init = {{1, 10}, {3, 30}};
-  M::Node *T = M::buildSorted(Init.data(), Init.size());
-  std::vector<std::pair<uint32_t, int64_t>> Batch = {{2, 999}, {3, 5}};
-  M::Node *B = M::buildSorted(Batch.data(), Batch.size());
-  T = M::updateExisting(T, B, [](int64_t Old, int64_t New) {
-    return Old - New;
-  });
-  std::map<uint32_t, int64_t> Got;
-  M::forEachSeq(T, [&](uint32_t K, int64_t V) { Got[K] = V; });
-  // Key 2 must NOT be inserted; key 3 updated.
-  EXPECT_EQ(Got, (std::map<uint32_t, int64_t>{{1, 10}, {3, 25}}));
-  M::release(T);
-}
-
 //===----------------------------------------------------------------------===
 // multiUpdate: path-copying batch updates against a std::map reference.
 //===----------------------------------------------------------------------===
@@ -379,7 +364,8 @@ void checkMultiUpdate(const MapPairs &Init, const MapPairs &Batch,
           EXPECT_EQ(N->Val, Ref[N->Key]);
         },
         [&](size_t I) { ++MissCalls[I]; });
-    // Pinned: exactly the search-path nodes are new; sole owned: none.
+    // Pinned: exactly the search-path nodes are new; sole owned: the
+    // copies replace the originals, which are freed.
     EXPECT_EQ(livePamNodes() - Live, int64_t(PathNodes));
     EXPECT_TRUE(M::validate(T));
     EXPECT_EQ(mapOf(T), Ref);
