@@ -3,20 +3,18 @@
 // The streaming scenario flat snapshots exist for: a writer thread
 // ingests batches into the sharded store while an analytics reader
 // re-runs PageRank and BFS after every few batches on acquireFlat() —
-// the store-maintained hot flat snapshot, refreshed in O(touched) work
-// from the ingest pipeline's touched-vertex digests rather than rebuilt
-// O(n) from scratch per epoch (DESIGN.md Section 4). The final stats
-// line shows the refresh-vs-rebuild split the reader actually got.
+// the store-maintained hot flat snapshot, which each batch's writer
+// refreshes in O(touched) work from its merge's slots right after the
+// batch is acknowledged, rather than rebuilt O(n) from scratch per epoch
+// (DESIGN.md Section 4). The final stats line shows the split: one
+// rebuild (the reader's first call), one refresh per batch after it,
+// and the reader's hits.
 //
 //   ./example_hot_epoch_analytics [-scale 14] [-batches 60]
 //                                 [-batchsize 150] [-paceus 3000]
 //
-// Batches are deliberately small relative to the vertex universe and the
-// stream is paced (the paper's low-latency regime: updates arrive over
-// time, they are not replayed at memory speed): the touched union of the
-// epochs a query round spans must stay under universe/8 distinct sources
-// for the incremental path to beat a full rebuild — beyond that the
-// stats line shows rebuilds, which is the threshold working as intended.
+// The stream is paced (the paper's low-latency regime: updates arrive
+// over time, they are not replayed at memory speed).
 //
 //===----------------------------------------------------------------------===//
 

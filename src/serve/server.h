@@ -62,14 +62,12 @@ public:
       return Pinned;
     }
 
-    /// Flat-epoch pin (first call acquires; later calls reuse). Cache
-    /// hits take the store's lock-free fast path. A pin that refreshes
-    /// the store's flat takes over the flat epoch it superseded, so its
-    /// reclamation runs when this context is destroyed - on the same
-    /// worker, but after the query callback has produced its reply.
+    /// Flat-epoch pin (first call acquires; later calls reuse). The
+    /// store's writers keep the flat current, so a pin is the store's
+    /// lock-free fast path, or a wait for an in-flight refresh.
     const std::shared_ptr<const typename Store::FlatEpoch> &flat() {
       if (!FlatPin)
-        FlatPin = S.acquireFlat(&Superseded);
+        FlatPin = S.acquireFlat();
       return FlatPin;
     }
 
@@ -80,7 +78,6 @@ public:
     AlgoContext &Ctx;
     typename Store::Ref Pinned;
     std::shared_ptr<const typename Store::FlatEpoch> FlatPin;
-    std::shared_ptr<const typename Store::FlatEpoch> Superseded;
   };
 
   using Query = std::function<void(QueryContext &)>;

@@ -39,12 +39,16 @@
 //      one path-copying multi-update of its vertex tree (new vertices go
 //      through multiInsert), the shards in parallel — one writer per
 //      shard. The merge records the new (view, degree) slot of every
-//      vertex it sets: the epoch's digest for the flat refresh.
+//      vertex it sets.
 //   3. Install: under the commit lock, a new epoch is formed from the
 //      latest published epoch with the touched shards replaced, and
 //      published with one atomic shared_ptr store. Writers whose batches
 //      touch disjoint shards merge concurrently and serialize only for
 //      the O(S) pointer-copy install.
+//   4. Ack, then flat: the batch is acknowledged at publication (after
+//      the WAL group commit on a durable store). Only then, and in
+//      install order, does the writer refresh a live flat from the slots
+//      its merge recorded and release the flat it superseded.
 //
 // A prepared group may carry SEVERAL submitted batches (EdgeSpans) at
 // once: the snapshot server's writer takes the same-kind batches queued
@@ -61,12 +65,13 @@
 // over, so analytics run unmodified — and bit-identically — on a
 // sharded acquire.
 //
-// acquireFlat() additionally maintains a hot flat rendering of the
-// current epoch — per-shard FlatSnapshotTs (two-level copy-on-write page
-// tables) indexed by shard-local id, read through FlatView (graph.h's
-// FlatGraphView over the S flats) for O(1) vertex access — refreshed
-// batch-to-batch from the slot digests the merges recorded instead of
-// rebuilt (DESIGN.md Section 4).
+// acquireFlat() additionally serves a flat rendering of the current
+// epoch — per-shard FlatSnapshotTs (two-level copy-on-write page tables)
+// indexed by shard-local id, read through FlatView (graph.h's
+// FlatGraphView over the S flats) for O(1) vertex access. The first call
+// builds it; from then on every committing writer refreshes it from the
+// slots its own merge recorded, right after its ack and in install
+// order, so a reader only loads it (DESIGN.md Section 4).
 //
 //===----------------------------------------------------------------------===//
 
@@ -79,7 +84,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <deque>
+#include <condition_variable>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -91,25 +96,13 @@
 
 namespace aspen {
 
-/// Rebuild-vs-refresh counters of the store's hot flat snapshot (tests
-/// and benches assert which maintenance path served an acquireFlat()).
+/// Counters of the store's hot flat snapshot (tests and benches assert
+/// which path kept it current).
 struct FlatMaintenanceStats {
-  uint64_t Rebuilds = 0;  ///< full O(n) flat builds
-  uint64_t Refreshes = 0; ///< O(touched) incremental refreshes
-  uint64_t Hits = 0;      ///< served the cached flat unchanged
+  uint64_t Rebuilds = 0;  ///< full O(n) builds by a cold acquireFlat()
+  uint64_t Refreshes = 0; ///< O(touched) refreshes by committing writers
+  uint64_t Hits = 0;      ///< acquireFlat() calls served the live flat
 };
-
-/// Tuning constants of the hot-flat maintenance path: refresh when the
-/// replayed digests touch at most universe / FlatRefreshDenominator
-/// distinct vertices, covering at most FlatReplayMaxEpochs epochs;
-/// anything else rebuilds. The digest log holds at most that many
-/// epochs and universe / FlatRefreshDenominator recorded slots. With the
-/// slots from the merge a refresh beats a rebuild past n/2, so the
-/// denominator is a memory bound on the log, not a measured crossover;
-/// see DESIGN.md Section 4 and the crossover/* rows of
-/// BENCH_flat_snapshot.json.
-inline constexpr uint64_t FlatRefreshDenominator = 8;
-inline constexpr size_t FlatReplayMaxEpochs = 64;
 
 /// A borrowed, immutable view of one submitted batch's edges. Spans
 /// alias caller memory: the edges must stay alive until the apply (or
@@ -117,96 +110,6 @@ inline constexpr size_t FlatReplayMaxEpochs = 64;
 struct EdgeSpan {
   const EdgePair *Data = nullptr;
   size_t Size = 0;
-};
-
-/// Bounded log of per-install deltas keyed by batch sequence number.
-/// The store records, for each installed epoch, a small summary of what
-/// changed relative to its predecessor (the touched-vertex digest); the
-/// hot flat cache, pinned at sequence F, catches up to T by replaying
-/// the deltas for (F, T] instead of rebuilding.
-///
-/// The log only answers for *contiguous* spans: recording a sequence
-/// number that does not directly follow the previous recorded one (an
-/// install whose delta was not captured) clears the log, so a
-/// successful replay() is always a complete, gap-free reconstruction and
-/// anything else falls back to the consumer's full rebuild. Bounded to
-/// \p MaxEntries recent installs and, when record() is given a weight
-/// bound, to that total weight (the oldest entries go first); older
-/// consumers rebuild too.
-///
-/// record() is called by writers (serialized by the store's commit
-/// lock); replay() by readers. Both take the internal mutex, so the log
-/// is safe against concurrent readers and a concurrent writer.
-template <class DeltaT> class DeltaLogT {
-  struct Entry {
-    uint64_t Seq;
-    DeltaT Delta;
-    uint64_t Weight;
-  };
-
-public:
-  explicit DeltaLogT(size_t MaxEntries = 64) : MaxEntries(MaxEntries) {}
-
-  /// Record the delta of the install that produced \p Seq, of size
-  /// \p Weight, then drop the oldest entries until the log holds at most
-  /// MaxEntries entries of total weight at most \p MaxWeight (a delta
-  /// heavier than the bound leaves the log empty). Clears the log first
-  /// when \p Seq does not follow the last recorded one (some install
-  /// went unrecorded; spans across it must rebuild).
-  void record(uint64_t Seq, DeltaT Delta, uint64_t Weight = 0,
-              uint64_t MaxWeight = UINT64_MAX) {
-    std::lock_guard<std::mutex> Lock(M);
-    if (!Entries.empty() && Entries.back().Seq + 1 != Seq)
-      clearLocked();
-    Entries.push_back(Entry{Seq, std::move(Delta), Weight});
-    TotalWeight += Weight;
-    while (!Entries.empty() &&
-           (Entries.size() > MaxEntries || TotalWeight > MaxWeight)) {
-      TotalWeight -= Entries.front().Weight;
-      Entries.pop_front();
-    }
-  }
-
-  /// Drop every recorded delta (e.g. after an install whose delta was
-  /// deliberately not captured); subsequent replays across this point
-  /// report non-coverage.
-  void clear() {
-    std::lock_guard<std::mutex> Lock(M);
-    clearLocked();
-  }
-
-  /// Invoke \p Fn on the delta of every sequence number in (\p From,
-  /// \p To], oldest first. Returns false without invoking \p Fn at all
-  /// when the log does not cover the whole span (gap, trimmed history,
-  /// or From > To).
-  template <class F> bool replay(uint64_t From, uint64_t To, F &&Fn) const {
-    std::lock_guard<std::mutex> Lock(M);
-    if (From >= To)
-      return From == To;
-    if (Entries.empty() || Entries.front().Seq > From + 1 ||
-        Entries.back().Seq < To)
-      return false;
-    size_t I = size_t(From + 1 - Entries.front().Seq);
-    for (uint64_t S = From + 1; S <= To; ++S, ++I)
-      Fn(Entries[I].Delta);
-    return true;
-  }
-
-  size_t size() const {
-    std::lock_guard<std::mutex> Lock(M);
-    return Entries.size();
-  }
-
-private:
-  void clearLocked() {
-    Entries.clear();
-    TotalWeight = 0;
-  }
-
-  mutable std::mutex M;
-  std::deque<Entry> Entries;
-  uint64_t TotalWeight = 0;
-  size_t MaxEntries;
 };
 
 /// Hash-partitioned versioned graph store over \p EdgeSet shards.
@@ -450,10 +353,10 @@ public:
 
   //===--------------------------------------------------------------------===
   // Hot-epoch flat snapshots (DESIGN.md Section 4): per-shard
-  // copy-on-write flat snapshots indexed by shard-local id, maintained
-  // epoch-to-epoch from the ingest pipeline's touched digests and read
-  // through FlatView, so analytics get O(1) vertex access on the latest
-  // epoch without an O(n) rebuild per batch.
+  // copy-on-write flat snapshots indexed by shard-local id, kept current
+  // by the committing writers from their merges' slots and read through
+  // FlatView, so analytics get O(1) vertex access on the latest epoch
+  // without an O(n) rebuild per batch.
   //===--------------------------------------------------------------------===
 
   using Flat = FlatSnapshotT<EdgeSet>;
@@ -474,35 +377,21 @@ public:
     }
   };
 
-  /// Flat rendering of the current epoch, maintained as a hot cache: an
-  /// unchanged epoch is returned as-is; an epoch a few recorded batches
-  /// ahead of the cache is caught up by refreshing only the touched
-  /// shards' touched pages (untouched shards share their predecessor's
-  /// flat wholesale, by root-pointer identity); anything else — cold
-  /// cache, replay gap, or a touched set above universe /
-  /// FlatRefreshDenominator — is a full parallel rebuild. Callers
-  /// serialize on an internal mutex for the catch-up work; writers are
-  /// never blocked by it. Hold the shared_ptr while using the view.
-  ///
-  /// A refresh or rebuild supersedes the cached flat epoch. Without
-  /// \p Superseded, it is dropped here, and if nothing else holds it,
-  /// its pages and the tree version only it still pins are reclaimed
-  /// before this call returns. With \p Superseded, the caller takes it
-  /// over and chooses when that reclamation runs (the server: after the
-  /// query's reply). Untouched on a cache hit.
-  std::shared_ptr<const FlatEpoch>
-  acquireFlat(std::shared_ptr<const FlatEpoch> *Superseded = nullptr) {
-    size_t S = numShards();
-    // Lock-free fast path: one atomic seq load + one atomic shared_ptr
-    // load, no mutex. The seq is read FIRST; if the cached flat then
-    // matches it, that flat rendered the epoch current at the instant
-    // of the seq read (the cache never regresses, and a concurrently
-    // installed newer flat carries a larger seq, failing the compare) —
-    // exactly the freshness the mutex path promises. Under a session
-    // fan-out with a quiet writer, every reader hits here without
-    // serializing on FlatM.
+  /// Flat rendering of the current epoch. The first call builds it (a
+  /// full parallel rebuild); from then on it is live: the writer of every
+  /// install refreshes it right after its ack (mergeInstall), so this is
+  /// one atomic seq load and one atomic shared_ptr load. A call that
+  /// finds the flat behind the published epoch waits for the writers
+  /// refreshing it and never refreshes itself; it rebuilds only when no
+  /// flat is live (cold, or dropped after a failed install). A store that
+  /// is never read flat pays one atomic load per install. Hold the
+  /// shared_ptr while using the view.
+  std::shared_ptr<const FlatEpoch> acquireFlat() {
+    // The seq is read FIRST; if the live flat then matches it, that flat
+    // rendered the epoch current at the instant of the seq read (the
+    // flat never regresses, and a newer one carries a larger seq).
+    uint64_t Seq = batchSeq();
     {
-      uint64_t Seq = batchSeq();
       std::shared_ptr<const FlatEpoch> Hot =
           std::atomic_load_explicit(&CachedFlat, std::memory_order_acquire);
       if (Hot && Hot->BatchSeq == Seq) {
@@ -511,88 +400,38 @@ public:
       }
     }
 
-    std::lock_guard<std::mutex> Lock(FlatM);
-    // Acquired under FlatM: every cache entry was built from an epoch
-    // acquired while holding this lock, so Seq >= CachedFlat->BatchSeq
-    // always and the cache can never regress to an older epoch.
-    Ref E = acquire();
-    uint64_t Seq = E.batchSeq();
-    std::shared_ptr<const FlatEpoch> Cached =
-        std::atomic_load_explicit(&CachedFlat, std::memory_order_acquire);
-    if (Cached && Cached->BatchSeq == Seq) {
+    std::unique_lock<std::mutex> Lock(FlatM);
+    // Every install up to Seq is published, and its writer refreshes a
+    // live flat in install order; a newer flat rendered an epoch that was
+    // current during this call.
+    FlatCV.wait(Lock,
+                [&] { return !CachedFlat || CachedFlat->BatchSeq >= Seq; });
+    if (CachedFlat) {
       FlatHitsV.fetch_add(1, std::memory_order_relaxed);
-      return Cached;
+      return CachedFlat;
     }
-
-    std::shared_ptr<FlatEpoch> New;
-    if (Cached) {
-      // Union the replay span's digests per shard. Epochs replay oldest
-      // first and a vertex's newest slot wins: the older ones may point
-      // at edge sets no live epoch holds, and are dropped unread.
-      std::vector<std::vector<Slot>> Touched(S);
-      std::vector<uint32_t> Parts(S, 0);
-      bool Covered = Digests.replay(
-          Cached->BatchSeq, Seq, [&](const ShardDigest &D) {
-            for (const auto &P : D) {
-              Touched[P.first].insert(Touched[P.first].end(),
-                                      P.second.begin(), P.second.end());
-              ++Parts[P.first];
-            }
-          });
-      // Threshold on the *distinct* touched union (hot vertices hit by
-      // several replayed batches count once).
-      uint64_t Total = 0;
-      if (Covered) {
-        parallelFor(0, S, [&](size_t Sh) {
-          if (Parts[Sh] > 1)
-            newestPerKey(Touched[Sh]);
-        }, 1);
-        for (const auto &T : Touched)
-          Total += T.size();
-      }
-      if (Covered &&
-          Total * FlatRefreshDenominator <= uint64_t(E.epoch().Universe)) {
-        New = std::make_shared<FlatEpoch>();
-        New->Flats.resize(S);
-        const FlatEpoch &Prev = *Cached;
-        parallelFor(0, S, [&](size_t Sh) {
-          const Snapshot &Cur = E.shard(Sh);
-          // Root identity means the shard is bit-identical to the one
-          // the cached flat renders: share its pages wholesale.
-          if (Cur.root() == Prev.Flats[Sh].graph().root()) {
-            New->Flats[Sh] = Prev.Flats[Sh];
-            return;
-          }
-          const auto &T = Touched[Sh];
-          New->Flats[Sh] =
-              Flat::refresh(Prev.Flats[Sh], Cur, T.data(), T.size());
-        }, 1);
-        FlatRefreshesV.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    if (!New) {
-      New = std::make_shared<FlatEpoch>();
-      New->Flats.resize(S);
-      parallelFor(0, S, [&](size_t Sh) {
-        New->Flats[Sh] = Flat(E.shard(Sh), unsigned(LogShards));
-      }, 1);
-      FlatRebuildsV.fetch_add(1, std::memory_order_relaxed);
-    }
-    New->BatchSeq = Seq;
-    New->NumEdges = E.numEdges();
-    New->Universe = E.epoch().Universe;
-    New->LogShards = LogShards;
-    // Atomic publish pairs with the fast path's lock-free load.
-    std::atomic_store_explicit(
-        &CachedFlat, std::shared_ptr<const FlatEpoch>(New),
-        std::memory_order_release);
-    if (Superseded)
-      *Superseded = std::move(Cached);
+    // Cold: rebuild. Pairs with maintainFlat()'s check (both seq_cst):
+    // either the writer of the next install sees FlatLive and refreshes
+    // this flat, or this load sees that install's seq and the epoch
+    // acquired below already contains it.
+    FlatLive.store(true);
+    uint64_t Floor = PublishedSeqV.load();
+    Ref E = acquire();
+    assert(E.batchSeq() >= Floor);
+    (void)Floor;
+    std::shared_ptr<const FlatEpoch> New = flatOf(E.epoch(), [&](size_t Sh) {
+      return Flat(E.shard(Sh), unsigned(LogShards));
+    });
+    FlatRebuildsV.fetch_add(1, std::memory_order_relaxed);
+    std::atomic_store_explicit(&CachedFlat, New, std::memory_order_release);
+    Lock.unlock();
+    FlatCV.notify_all();
     return New;
   }
 
-  /// Rebuild/refresh/hit counters of acquireFlat() (diagnostics, tests).
-  /// Hits counts both mutex-path and lock-free fast-path hits.
+  /// Rebuild/refresh/hit counters of the flat (diagnostics, tests). Hits
+  /// counts acquireFlat() calls served the live flat, with or without
+  /// waiting for a writer's refresh.
   FlatMaintenanceStats flatStats() const {
     return {FlatRebuildsV.load(std::memory_order_relaxed),
             FlatRefreshesV.load(std::memory_order_relaxed),
@@ -704,15 +543,9 @@ private:
       // checkpoint can then be incremental against the recovered base
       // (untouched shards share these exact roots across replay).
       CkptEpoch = acquire();
-      // Recovery priming: build the hot flat from the checkpoint epoch
-      // (the cache is cold, so this is acquireFlat's rebuild) *before*
-      // replay, so the first post-recovery acquireFlat() takes the
-      // O(touched) refresh path over the replayed batches' digests.
-      acquireFlat();
     }
     // Replay the WAL suffix through the normal pipeline, one epoch per
-    // logged batch (Recovering gates the WAL re-append); the digests it
-    // records keep the primed flat cache refreshable.
+    // logged batch (Recovering gates the WAL re-append).
     Recovering = true;
     for (const WalReplayRecord &RR : R.Replay) {
       EdgeSpan Span{RR.Edges.data(), RR.Edges.size()};
@@ -723,30 +556,14 @@ private:
     }
     Recovering = false;
     Durable->dropRecoveredPayload();
+    // Recovery priming: a store recovered from a checkpoint builds its
+    // flat once, from the replayed epoch, so the first acquireFlat()
+    // after a restart is a hit and every later install refreshes it.
+    if (R.Ckpt)
+      acquireFlat();
   }
 
   using Slot = VertexSlot<EdgeSet>;
-  /// Per-epoch touched digest: (shard, the slots its merge set, ascending
-  /// by vertex) for every shard the install touched. A slot stays valid
-  /// while a later epoch that did not touch its vertex is alive
-  /// (VertexSlot), which is every epoch a replay ending at a live epoch
-  /// reads it for.
-  using ShardDigest = std::vector<std::pair<uint32_t, std::vector<Slot>>>;
-
-  /// Sort \p T by key, keeping for each key only its last slot in the
-  /// input order (the newest, when digests are appended oldest first).
-  static void newestPerKey(std::vector<Slot> &T) {
-    std::stable_sort(T.begin(), T.end(), [](const Slot &A, const Slot &B) {
-      return A.Key < B.Key;
-    });
-    size_t Out = 0;
-    for (size_t I = 0; I < T.size(); ++I) {
-      if (I + 1 < T.size() && T[I + 1].Key == T[I].Key)
-        continue;
-      T[Out++] = T[I];
-    }
-    T.resize(Out);
-  }
 
   static size_t log2Ceil(size_t S) {
     size_t L = 0;
@@ -830,8 +647,8 @@ private:
     // epoch's reclamation (freeing the replaced shards' tree delta) is
     // deferred until every lock is released, so concurrent
     // disjoint-shard writers never serialize behind it. ---
-    uint64_t Seq;
-    Ref Latest;
+    uint64_t Prev, Seq;
+    Ref Latest, Installed;
     DurabilityEngine::Ticket Tk;
     try {
       std::lock_guard<std::mutex> Lock(CommitM);
@@ -841,7 +658,7 @@ private:
       for (size_t Sh = 0; Sh < S; ++Sh)
         if (TouchedShP[Sh])
           Next->Shards[Sh] = std::move(Merged[Sh]);
-      uint64_t Prev = Latest.epoch().BatchSeq;
+      Prev = Latest.epoch().BatchSeq;
       Next->BatchSeq = Prev + NumSpans;
       finalizeAggregates(*Next, Latest.epoch().Universe);
       Seq = Next->BatchSeq;
@@ -855,31 +672,13 @@ private:
           Tk = Durable->append(Insert ? WalKind::InsertBatch
                                       : WalKind::DeleteBatch,
                                Prev + I + 1, Spans[I].Data, Spans[I].Size);
-      uint64_t DigestCap =
-          uint64_t(Next->Universe) / FlatRefreshDenominator;
       // Latest still holds the superseded epoch, so this store never
-      // reclaims it under the lock.
+      // reclaims it under the lock; Installed keeps the new one (which
+      // the slots point into) alive for the flat refresh.
+      Installed = Ref(Next);
       publish(std::move(Next));
-      // Sparse per-shard digest (touched shards only). The digest log
-      // is keyed by contiguous BatchSeq values, so a coalesced install
-      // records EMPTY digests at the intermediate sequence numbers
-      // (never published as epochs — no reader replays a span ending
-      // on one) and the union digest at the final one: any replay span
-      // crossing the group sees exactly its touched set. The log keeps
-      // at most DigestCap slots (the refresh threshold, counted in
-      // recorded rather than distinct slots), so a replay past an
-      // evicted digest rebuilds.
-      ShardDigest Digest;
-      uint64_t Total = 0;
-      for (size_t Sh = 0; Sh < S; ++Sh)
-        if (!Slots[Sh].empty()) {
-          Total += Slots[Sh].size();
-          Digest.emplace_back(uint32_t(Sh), std::move(Slots[Sh]));
-        }
-      for (size_t I = 1; I < NumSpans; ++I)
-        Digests.record(Prev + I, ShardDigest{}, 0, DigestCap);
-      Digests.record(Seq, std::move(Digest), Total, DigestCap);
-      PublishedSeqV.store(Seq, std::memory_order_release);
+      // seq_cst: pairs with acquireFlat()'s rebuild (see maintainFlat).
+      PublishedSeqV.store(Seq);
     } catch (...) {
       // A poisoned WAL (or an injected crash) must not strand the shard
       // locks or leak the merged snapshots: unwind cleanly, without
@@ -900,11 +699,83 @@ private:
     // still holds it).
     Base.reset();
     Latest.reset();
+    // The ack: publication above, plus the group commit on a durable
+    // store (acknowledged == durable, all coalesced seqs). The flat is
+    // refreshed only after it, so the refresh never delays this batch's
+    // ack; a failed sync drops the flat instead.
     if (Tk.Log) {
-      Durable->sync(Tk); // acknowledged == durable (all coalesced seqs)
-      checkpointIfDue(Seq);
+      try {
+        Durable->sync(Tk);
+      } catch (...) {
+        maintainFlat(Prev, nullptr, Slots);
+        throw;
+      }
     }
+    maintainFlat(Prev, &Installed.epoch(), Slots);
+    if (Tk.Log)
+      checkpointIfDue(Seq);
     return Seq;
+  }
+
+  /// A flat epoch of \p E whose shard Sh is \p MakeShard(Sh), the shards
+  /// built in parallel.
+  template <class F>
+  std::shared_ptr<const FlatEpoch> flatOf(const Epoch &E, F &&MakeShard) {
+    auto New = std::make_shared<FlatEpoch>();
+    New->Flats.resize(E.Shards.size());
+    parallelFor(0, E.Shards.size(), [&](size_t Sh) {
+      New->Flats[Sh] = MakeShard(Sh);
+    }, 1);
+    New->BatchSeq = E.BatchSeq;
+    New->NumEdges = E.NumEdges;
+    New->Universe = E.Universe;
+    New->LogShards = LogShards;
+    return New;
+  }
+
+  /// Writer-side flat maintenance, run by the writer of the install that
+  /// advanced BatchSeq from \p Prev to \p Next's, after its ack. Once a
+  /// flat is live, waits for the flat of \p Prev (refreshes follow install
+  /// order, also across concurrent disjoint-shard writers) and refreshes
+  /// it to \p Next from the merge's per-shard \p Slots; untouched shards
+  /// share their flats wholesale. With \p Next null (the install failed
+  /// after it was published), or if the refresh throws, the flat is
+  /// dropped instead, so the next acquireFlat() rebuilds and no waiter is
+  /// stranded. The superseded flat is released here, after FlatM.
+  void maintainFlat(uint64_t Prev, const Epoch *Next,
+                    const std::vector<std::vector<Slot>> &Slots) {
+    // seq_cst, after the seq_cst PublishedSeqV store: a cold rebuild that
+    // this load misses acquires an epoch containing this install.
+    if (!FlatLive.load())
+      return;
+    std::shared_ptr<const FlatEpoch> Old;
+    {
+      std::unique_lock<std::mutex> Lock(FlatM);
+      FlatCV.wait(Lock,
+                  [&] { return !CachedFlat || CachedFlat->BatchSeq >= Prev; });
+      // Dropped, or a rebuild already rendered a later epoch.
+      if (!CachedFlat || CachedFlat->BatchSeq != Prev)
+        return;
+      std::shared_ptr<const FlatEpoch> New;
+      if (Next) {
+        try {
+          const FlatEpoch &P = *CachedFlat;
+          New = flatOf(*Next, [&](size_t Sh) {
+            const std::vector<Slot> &T = Slots[Sh];
+            return T.empty() ? P.Flats[Sh]
+                             : Flat::refresh(P.Flats[Sh], Next->Shards[Sh],
+                                             T.data(), T.size());
+          });
+          FlatRefreshesV.fetch_add(1, std::memory_order_relaxed);
+        } catch (...) {
+          // The batch is installed and acknowledged: report nothing, and
+          // let the next acquireFlat() rebuild.
+        }
+      }
+      Old = std::atomic_exchange_explicit(&CachedFlat, std::move(New),
+                                          std::memory_order_acq_rel);
+    }
+    FlatCV.notify_all();
   }
 
   /// Auto-checkpoint trigger (CheckpointEveryBatches): at most one
@@ -962,14 +833,15 @@ private:
   std::mutex CkptTriggerM;
   std::atomic<bool> CkptPending{false};
 
-  // Hot-flat maintenance state (DESIGN.md Section 4). The digest log is
-  // keyed by BatchSeq (contiguous under the commit lock); the cached
-  // flat serializes its refreshers on FlatM without ever blocking
-  // writers, and current-epoch hits bypass FlatM entirely via the
-  // atomic shared_ptr fast path.
-  DeltaLogT<ShardDigest> Digests{FlatReplayMaxEpochs};
+  // Hot-flat state (DESIGN.md Section 4). CachedFlat is replaced only
+  // under FlatM (always with the shared_ptr atomics) and read lock-free by
+  // acquireFlat()'s fast path; FlatCV wakes the readers and writers that
+  // wait for it to reach a seq. FlatLive is set by the first rebuild and
+  // tells writers to maintain the flat.
   std::mutex FlatM;
+  std::condition_variable FlatCV;
   std::shared_ptr<const FlatEpoch> CachedFlat;
+  std::atomic<bool> FlatLive{false};
   // FlatMaintenanceStats counters, one relaxed atomic per event.
   std::atomic<uint64_t> FlatRebuildsV{0}, FlatRefreshesV{0}, FlatHitsV{0};
 };

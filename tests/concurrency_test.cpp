@@ -305,13 +305,10 @@ TEST(Concurrency, ShardedQueriesRunOnPinnedEpochs) {
 
 TEST(Concurrency, HotFlatReadersDuringIngest) {
   // Readers loop acquireFlat() — the store-maintained hot flat snapshot,
-  // refreshed incrementally from the writer's digests — while the writer
-  // streams disjoint batches. Every returned flat must be a consistent
-  // whole-batch cut: edge count a multiple of the batch size and equal
-  // to the sum of its slot degrees.
-  // Universe big enough that each batch's touched set sits under the
-  // refresh threshold: readers race against the incremental path, not
-  // just full rebuilds.
+  // refreshed by the writer from its merge's slots after each batch —
+  // while the writer streams disjoint batches. Every returned flat must
+  // be a consistent whole-batch cut: edge count a multiple of the batch
+  // size and equal to the sum of its slot degrees.
   const VertexId N = 4096;
   const size_t BatchSize = 128;
   const int NumBatches = 40;

@@ -347,16 +347,15 @@ TEST(DurableSingleShard, CheckpointTrimsWalAndRecovers) {
   EXPECT_TRUE(shardedIdentical(Re, Ref));
 }
 
-TEST(DurableSingleShard, RecoveryPrimesFlatForRefresh) {
+TEST(DurableSingleShard, RecoveryPrimesFlat) {
   TempDir D;
   BatchList Batches = makeBatches(9, 60, 4000, 13);
   {
     ShardedGraphStore St(optsFor(D.path(), /*Every=*/6), 1, 0);
     applyPrefix(St, Batches, Batches.size());
   }
-  // Recovery: checkpoint at 6, replay 7..9 recording digests, flat
-  // primed from the checkpoint — so the first user acquireFlat() takes
-  // the O(touched) refresh path, not a rebuild.
+  // Recovery: checkpoint at 6, replay 7..9, then one flat build from the
+  // replayed epoch — so the first user acquireFlat() is a hit.
   ShardedGraphStore Re(optsFor(D.path()), 1, 0);
   FlatMaintenanceStats S0 = Re.flatStats();
   EXPECT_EQ(S0.Rebuilds, 1u); // the recovery priming itself
@@ -364,8 +363,10 @@ TEST(DurableSingleShard, RecoveryPrimesFlatForRefresh) {
   auto F = Re.acquireFlat();
   FlatMaintenanceStats S1 = Re.flatStats();
   EXPECT_EQ(S1.Rebuilds, 1u);
-  EXPECT_EQ(S1.Refreshes, 1u);
-  // And the refreshed flat agrees with the authoritative tree.
+  EXPECT_EQ(S1.Refreshes, 0u);
+  EXPECT_EQ(S1.Hits, 1u);
+  EXPECT_EQ(F->BatchSeq, Batches.size());
+  // And the primed flat agrees with the authoritative tree.
   auto V = Re.acquire();
   const Graph &G = V.shard(0);
   uint64_t DegTree = 0, DegFlat = 0;
@@ -528,9 +529,6 @@ TEST(DurableSharded, PersistReopenAndFlatPrime) {
   TempDir D;
   const size_t Shards = 8;
   const VertexId Universe = 4000;
-  // Post-checkpoint batches are kept small so their digest union stays
-  // under the refresh threshold (universe / FlatRefreshDenominator) —
-  // this test asserts the refresh path, not the rebuild fallback.
   BatchList Batches = makeBatches(10, 80, Universe, 55);
   ShardedGraphStore Ref(Shards, Universe);
   {
@@ -550,14 +548,25 @@ TEST(DurableSharded, PersistReopenAndFlatPrime) {
   EXPECT_EQ(Re.batchSeq(), Batches.size());
   EXPECT_TRUE(shardedIdentical(Re, Ref));
 
-  // Flat priming: checkpoint at 6 + replayed digests 7..10 → the first
-  // acquireFlat() refreshes instead of rebuilding.
+  // Flat priming: checkpoint at 6, replay 7..10, then one build of the
+  // replayed epoch → the first acquireFlat() is a hit, and the next
+  // install's writer refreshes the primed flat.
   FlatMaintenanceStats S0 = Re.flatStats();
   EXPECT_EQ(S0.Rebuilds, 1u);
   auto F = Re.acquireFlat();
   FlatMaintenanceStats S1 = Re.flatStats();
   EXPECT_EQ(S1.Rebuilds, 1u);
-  EXPECT_EQ(S1.Refreshes, 1u);
+  EXPECT_EQ(S1.Refreshes, 0u);
+  EXPECT_EQ(S1.Hits, 1u);
+  EXPECT_EQ(F->BatchSeq, Batches.size());
+  EXPECT_EQ(F->NumEdges, Ref.acquire().numEdges());
+  Re.insertBatch(Batches.front().second);
+  Ref.insertBatch(Batches.front().second);
+  F = Re.acquireFlat();
+  FlatMaintenanceStats S2 = Re.flatStats();
+  EXPECT_EQ(S2.Rebuilds, 1u);
+  EXPECT_EQ(S2.Refreshes, 1u);
+  EXPECT_EQ(S2.Hits, 2u);
   EXPECT_EQ(F->NumEdges, Ref.acquire().numEdges());
 }
 

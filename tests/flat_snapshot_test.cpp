@@ -3,12 +3,13 @@
 // Differential coverage for the paged-CoW flat snapshot (DESIGN.md
 // Section 4): the write-once full build, epoch-to-epoch refresh against
 // from-scratch rebuilds across churned epochs (inserts + deletes +
-// vertex-universe growth) on the store at one shard and at four, the
-// refresh-vs-rebuild policy (threshold, cache hits), page sharing,
-// refresh at the page and directory edges of the two-level page table on
-// both stores, the hand-off of a superseded flat epoch, graph-view
-// trait coverage of the flat views, and empty reads of vertices past the
-// universe through every view.
+// vertex-universe growth) on the store at one shard and at four, page
+// sharing, refresh at the page and directory edges of the two-level page
+// table on both stores, the writers' maintenance of the live flat (one
+// refresh per install after its ack, hits for readers, release of the
+// superseded flat, failed installs, concurrent writers and readers),
+// graph-view trait coverage of the flat views, and empty reads of
+// vertices past the universe through every view.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,11 +22,16 @@
 #include "algorithms/triangle_count.h"
 #include "gen/generators.h"
 #include "ligra/edge_map.h"
+#include "durable_test_util.h"
 #include "store/sharded_graph.h"
+#include "util/failpoint.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
 #include <memory>
+#include <thread>
 #include <vector>
 
 using namespace aspen;
@@ -200,33 +206,38 @@ TEST(FlatRefresh, MatchesRebuildAcrossChurnedEpochs) {
   EXPECT_EQ(Stats.Refreshes, 24u);
 }
 
-TEST(FlatRefresh, MultiEpochReplayAndCacheHits) {
+TEST(FlatRefresh, WritersRefreshEveryEpochAndReadersHit) {
   const VertexId N = 4096;
   ShardedGraphStore Store(1, N, randomBatch(N, 8000, 90));
   auto A = Store.acquireFlat();
-  // Several epochs between acquireFlat calls: one refresh replays them all.
+  // Several epochs between acquireFlat calls: each writer refreshed the
+  // live flat after its own batch, so the next read is a hit.
   for (int E = 0; E < 5; ++E)
     Store.insertBatch(randomBatch(N, 20, 91 + uint64_t(E)));
+  EXPECT_EQ(Store.flatStats().Refreshes, 5u);
   auto B = Store.acquireFlat();
-  EXPECT_EQ(Store.flatStats().Refreshes, 1u);
-  auto C = Store.acquireFlat(); // unchanged epoch: cached object
+  auto C = Store.acquireFlat(); // unchanged epoch: the same object
   EXPECT_EQ(B.get(), C.get());
-  EXPECT_GE(Store.flatStats().Hits, 1u);
+  EXPECT_EQ(Store.flatStats().Hits, 2u);
+  EXPECT_EQ(Store.flatStats().Rebuilds, 1u);
   expectFlatMatchesTree(B->Flats[0], Store.acquire().shard(0));
   // The superseded flat snapshot A still answers for its own version.
+  EXPECT_EQ(A->BatchSeq, 0u);
   EXPECT_EQ(A->Flats[0].numVertices(), N);
 }
 
-TEST(FlatRefresh, LargeBatchFallsBackToRebuild) {
+TEST(FlatRefresh, LargeBatchRefreshes) {
   const VertexId N = 1 << 14;
   ShardedGraphStore Store(1, N, randomBatch(N, 30000, 95));
   (void)Store.acquireFlat();
-  // Touches well over universe/8 distinct sources: rebuild path.
+  // Touches well over a quarter of the vertices: with the slots from the
+  // merge, the writer refreshes at any batch size.
   Store.insertBatch(randomBatch(N, 30000, 96));
   auto FE = Store.acquireFlat();
   auto Stats = Store.flatStats();
-  EXPECT_EQ(Stats.Rebuilds, 2u);
-  EXPECT_EQ(Stats.Refreshes, 0u);
+  EXPECT_EQ(Stats.Rebuilds, 1u);
+  EXPECT_EQ(Stats.Refreshes, 1u);
+  EXPECT_EQ(Stats.Hits, 1u);
   expectFlatMatchesTree(FE->Flats[0], Store.acquire().shard(0));
 }
 
@@ -467,7 +478,7 @@ TYPED_TEST(FlatEdges, UniverseGrowthAcrossDirectoryBoundaries) {
   }
 }
 
-TYPED_TEST(FlatEdges, MultiEpochReplayAtEdges) {
+TYPED_TEST(FlatEdges, EveryEpochRefreshesAtEdges) {
   using Store = TypeParam;
   const VertexId P = TestFixture::Page, D = TestFixture::Dir;
   for (size_t S : {1u, 4u}) {
@@ -475,21 +486,27 @@ TYPED_TEST(FlatEdges, MultiEpochReplayAtEdges) {
     const VertexId N = 2 * D * Sv;
     Store St(S, N, randomBatch(N, 2000, 140 + S));
     (void)St.acquireFlat();
-    // Six epochs, one refresh: the replay unions their digests.
-    St.insertBatch(edgesFrom({0, (P - 1) * Sv, P * Sv}, N));
-    St.insertBatch(edgesFrom({(D - 1) * Sv, D * Sv + Sv - 1}, N));
-    St.deleteBatch(allEdgesOf(St, {(P - 1) * Sv}));
-    St.insertBatch(edgesFrom({(2 * D + 1) * Sv}, N)); // growth
-    St.insertBatch(edgesFrom({(P - 1) * Sv, (2 * D - 1) * Sv}, N));
-    St.deleteBatch(allEdgesOf(St, {(2 * D + 1) * Sv}));
-    expectMatchesRebuild(St, *St.acquireFlat());
+    // Six epochs at page and directory edges, growth and deletes to
+    // empty among them; each writer refreshes the flat after its batch.
+    std::vector<std::function<void()>> Steps = {
+        [&] { St.insertBatch(edgesFrom({0, (P - 1) * Sv, P * Sv}, N)); },
+        [&] { St.insertBatch(edgesFrom({(D - 1) * Sv, D * Sv + Sv - 1}, N)); },
+        [&] { St.deleteBatch(allEdgesOf(St, {(P - 1) * Sv})); },
+        [&] { St.insertBatch(edgesFrom({(2 * D + 1) * Sv}, N)); }, // growth
+        [&] { St.insertBatch(edgesFrom({(P - 1) * Sv, (2 * D - 1) * Sv}, N)); },
+        [&] { St.deleteBatch(allEdgesOf(St, {(2 * D + 1) * Sv})); }};
+    for (auto &Step : Steps) {
+      Step();
+      expectMatchesRebuild(St, *St.acquireFlat());
+    }
     auto Stats = St.flatStats();
     EXPECT_EQ(Stats.Rebuilds, 1u) << S << " shards";
-    EXPECT_EQ(Stats.Refreshes, 1u) << S << " shards";
+    EXPECT_EQ(Stats.Refreshes, 6u) << S << " shards";
+    EXPECT_EQ(Stats.Hits, 6u) << S << " shards";
   }
 }
 
-TYPED_TEST(FlatEdges, SupersededFlatAnswersForItsEpochThenIsReclaimed) {
+TYPED_TEST(FlatEdges, WriterReleasesSupersededFlat) {
   using Store = TypeParam;
   using FlatEpochPtr = std::shared_ptr<const typename Store::FlatEpoch>;
   const int64_t BaseBytes = liveCountedBytes();
@@ -505,16 +522,14 @@ TYPED_TEST(FlatEdges, SupersededFlatAnswersForItsEpochThenIsReclaimed) {
         Before[V] = adjacency(R.view(), V);
     }
     St.insertBatch(randomBatch(N, 60, 151));
-    FlatEpochPtr Old;
-    FlatEpochPtr B = St.acquireFlat(&Old);
     EXPECT_EQ(St.flatStats().Refreshes, 1u);
-    ASSERT_EQ(Old.get(), A.get());
-    A.reset();
-    // The hand-off holds the last reference: nothing was reclaimed yet,
-    // and the superseded flat still answers for its own epoch.
-    EXPECT_EQ(Old.use_count(), 1);
-    EXPECT_EQ(Old->BatchSeq, 0u);
-    auto OV = Old->view();
+    // The writer dropped its reference to the superseded flat: the
+    // reader's pin is the last one, and it still answers for its epoch.
+    EXPECT_EQ(A.use_count(), 1);
+    EXPECT_EQ(A->BatchSeq, 0u);
+    FlatEpochPtr B = St.acquireFlat();
+    ASSERT_NE(B.get(), A.get());
+    auto OV = A->view();
     auto BV = B->view();
     size_t Changed = 0;
     for (VertexId V = 0; V < N; ++V) {
@@ -522,19 +537,20 @@ TYPED_TEST(FlatEdges, SupersededFlatAnswersForItsEpochThenIsReclaimed) {
       Changed += adjacency(BV, V) != Before[V];
     }
     EXPECT_GT(Changed, 0u);
-    // A cache hit supersedes nothing and leaves the out-parameter alone.
-    FlatEpochPtr None;
-    EXPECT_EQ(St.acquireFlat(&None).get(), B.get());
-    EXPECT_FALSE(None);
+    // Unpinned, a superseded flat is gone when the writer returns.
+    std::weak_ptr<const typename Store::FlatEpoch> W = B;
+    B.reset();
+    St.insertBatch(randomBatch(N, 60, 152));
+    EXPECT_TRUE(W.expired());
   }
   EXPECT_EQ(liveCountedBytes(), BaseBytes);
   EXPECT_EQ(totalPoolLiveBytes(), BaseNodes);
 }
 
 //===----------------------------------------------------------------------===
-// Slot digests: the merge records each touched vertex's new slot, and a
-// refresh writes those slots instead of looking the vertices up. Every
-// refreshed flat must equal a fresh build of the same epoch.
+// Slot digests: the merge records each touched vertex's new slot, and the
+// writer's refresh writes those slots instead of looking the vertices
+// up. Every refreshed flat must equal a fresh build of the same epoch.
 //===----------------------------------------------------------------------===
 
 namespace {
@@ -552,18 +568,20 @@ std::vector<VertexId> strided(VertexId Base, VertexId Step, size_t Count) {
 
 } // namespace
 
-TYPED_TEST(SlotDigest, ReplayKeepsNewestSlotPerVertex) {
+TYPED_TEST(SlotDigest, SameVerticesEveryEpoch) {
   using Store = TypeParam;
   for (size_t S : {1u, 4u}) {
     const VertexId N = 1024 * VertexId(S);
     Store St(S, N, randomBatch(N, 3000, 160 + S));
     (void)St.acquireFlat();
     // The same vertices in every epoch: inserted, deleted down to empty,
-    // re-inserted, and deleted again, all replayed by one refresh.
+    // re-inserted, and deleted again, each epoch refreshed by its writer
+    // from the slots its merge set.
     auto Hot = strided(3, 5, 12);
     St.insertBatch(edgesFrom(Hot, N));
     St.insertBatch(edgesFrom(strided(4, 7, 12), N));
     St.deleteBatch(allEdgesOf(St, Hot));
+    expectMatchesRebuild(St, *St.acquireFlat());
     St.insertBatch(edgesFrom({Hot[0], Hot[5]}, N));
     auto FE = St.acquireFlat();
     expectMatchesRebuild(St, *FE);
@@ -577,7 +595,7 @@ TYPED_TEST(SlotDigest, ReplayKeepsNewestSlotPerVertex) {
       EXPECT_EQ(FE->view().degree(V), 0u) << "vertex " << V;
     auto Stats = St.flatStats();
     EXPECT_EQ(Stats.Rebuilds, 1u) << S << " shards";
-    EXPECT_EQ(Stats.Refreshes, 2u) << S << " shards";
+    EXPECT_EQ(Stats.Refreshes, 5u) << S << " shards";
   }
 }
 
@@ -587,9 +605,9 @@ TYPED_TEST(SlotDigest, CoalescedInstallsRefresh) {
     const VertexId N = 1024 * VertexId(S);
     Store St(S, N, randomBatch(N, 3000, 170 + S));
     (void)St.acquireFlat();
-    // Three batches in one install, two of them on the same vertices, then
-    // a plain batch: the refresh spans the group's empty intermediate
-    // digests.
+    // Three batches in one install, two of them on the same vertices:
+    // one refresh from the group's merged slots. Then a coalesced delete
+    // and a plain batch, one refresh each.
     auto A = edgesFrom(strided(10, 3, 8), N);
     auto B = edgesFrom(strided(11, 3, 8), N);
     auto C = edgesFrom(strided(10, 6, 4), N);
@@ -604,7 +622,7 @@ TYPED_TEST(SlotDigest, CoalescedInstallsRefresh) {
     expectMatchesRebuild(St, *St.acquireFlat());
     auto Stats = St.flatStats();
     EXPECT_EQ(Stats.Rebuilds, 1u) << S << " shards";
-    EXPECT_EQ(Stats.Refreshes, 2u) << S << " shards";
+    EXPECT_EQ(Stats.Refreshes, 3u) << S << " shards";
   }
 }
 
@@ -629,18 +647,18 @@ TYPED_TEST(SlotDigest, NewVerticesInsideAndPastTheUniverse) {
     EXPECT_GT(FE->view().degree(N + 7 * Sv), 0u);
     auto Stats = St.flatStats();
     EXPECT_EQ(Stats.Rebuilds, 1u) << S << " shards";
-    EXPECT_EQ(Stats.Refreshes, 2u) << S << " shards";
+    EXPECT_EQ(Stats.Refreshes, 4u) << S << " shards";
   }
 }
 
-TYPED_TEST(SlotDigest, ReplayPastAnEvictedDigestRebuilds) {
+TYPED_TEST(SlotDigest, ManyEpochsWithoutReadersStayRefreshed) {
   using Store = TypeParam;
-  const VertexId N = 1024; // the log holds at most N / 8 = 128 slots
+  const VertexId N = 1024;
   Store St(1, N, randomBatch(N, 3000, 190));
   (void)St.acquireFlat();
-  // 40 distinct vertices, touched by 8 batches: 320 recorded slots. The
-  // distinct union is small, but the oldest digests were evicted, so the
-  // replay cannot cover the span and the flat is rebuilt.
+  // 40 distinct vertices, touched by 8 batches and nobody reading: every
+  // writer refreshes from its own slots, so there is no replay window to
+  // outrun and no rebuild.
   auto Hot = strided(1, 25, 40);
   for (int I = 0; I < 8; ++I) {
     if (I % 2)
@@ -649,12 +667,193 @@ TYPED_TEST(SlotDigest, ReplayPastAnEvictedDigestRebuilds) {
       St.insertBatch(edgesFrom(Hot, N));
   }
   expectMatchesRebuild(St, *St.acquireFlat());
-  EXPECT_EQ(St.flatStats().Rebuilds, 2u);
-  EXPECT_EQ(St.flatStats().Refreshes, 0u);
-  // Within the bound again: three batches, 120 slots, one refresh.
-  for (int I = 0; I < 3; ++I)
-    St.insertBatch(edgesFrom(Hot, N));
-  expectMatchesRebuild(St, *St.acquireFlat());
-  EXPECT_EQ(St.flatStats().Rebuilds, 2u);
-  EXPECT_EQ(St.flatStats().Refreshes, 1u);
+  EXPECT_EQ(St.flatStats().Rebuilds, 1u);
+  EXPECT_EQ(St.flatStats().Refreshes, 8u);
+  EXPECT_EQ(St.flatStats().Hits, 1u);
+}
+
+//===----------------------------------------------------------------------===
+// Writer-side maintenance: once a flat is live, the writer of every
+// install refreshes it after its ack, in install order; a reader only
+// loads it. Both stores, at one shard and at eight.
+//===----------------------------------------------------------------------===
+
+namespace {
+
+template <class Store> class WriterFlat : public ::testing::Test {};
+TYPED_TEST_SUITE(WriterFlat, FlatStores);
+
+} // namespace
+
+TYPED_TEST(WriterFlat, EveryInstallLeavesAHit) {
+  using Store = TypeParam;
+  for (size_t S : {1u, 8u}) {
+    SCOPED_TRACE(testing::Message() << S << " shards");
+    const VertexId Sv = VertexId(S);
+    const VertexId N = 512 * Sv;
+    Store St(S, N, randomBatch(N, 2000, 200 + S));
+    (void)St.acquireFlat();
+    uint64_t Installs = 0;
+    auto ExpectHit = [&] {
+      ++Installs;
+      FlatMaintenanceStats Before = St.flatStats();
+      auto FE = St.acquireFlat();
+      FlatMaintenanceStats After = St.flatStats();
+      EXPECT_EQ(After.Hits, Before.Hits + 1);
+      EXPECT_EQ(After.Refreshes, Installs); // one per install, groups too
+      EXPECT_EQ(After.Rebuilds, 1u);
+      expectMatchesRebuild(St, *FE);
+    };
+    auto A = edgesFrom(strided(5, 3, 30), N);
+    auto B = edgesFrom(strided(6, 11, 20), N);
+    auto C = edgesFrom(strided(7, 2, 25), N);
+    St.insertBatch(A);
+    ExpectHit();
+    St.deleteBatch(A);
+    ExpectHit();
+    EdgeSpan Ins[] = {{A.data(), A.size()},
+                      {B.data(), B.size()},
+                      {C.data(), C.size()}};
+    St.applySpans(Ins, 3, /*Insert=*/true);
+    ExpectHit();
+    EdgeSpan Del[] = {{B.data(), B.size()}, {C.data(), C.size()}};
+    St.applySpans(Del, 2, /*Insert=*/false);
+    ExpectHit();
+    St.insertBatch(edgesFrom({N + 9 * Sv, N + 300 * Sv + Sv - 1}, N));
+    ExpectHit();
+  }
+}
+
+TYPED_TEST(WriterFlat, ColdStoreCountsNoRefreshes) {
+  using Store = TypeParam;
+  for (size_t S : {1u, 8u}) {
+    SCOPED_TRACE(testing::Message() << S << " shards");
+    const VertexId N = 512 * VertexId(S);
+    Store St(S, N, randomBatch(N, 2000, 210 + S));
+    auto A = edgesFrom(strided(5, 3, 30), N);
+    auto B = edgesFrom(strided(6, 11, 20), N);
+    St.insertBatch(A);
+    St.deleteBatch(A);
+    EdgeSpan Ins[] = {{A.data(), A.size()}, {B.data(), B.size()}};
+    St.applySpans(Ins, 2, /*Insert=*/true);
+    FlatMaintenanceStats Cold = St.flatStats();
+    EXPECT_EQ(Cold.Rebuilds, 0u);
+    EXPECT_EQ(Cold.Refreshes, 0u);
+    EXPECT_EQ(Cold.Hits, 0u);
+    // The first read builds the flat; from then on writers maintain it.
+    expectMatchesRebuild(St, *St.acquireFlat());
+    St.deleteBatch(B);
+    expectMatchesRebuild(St, *St.acquireFlat());
+    FlatMaintenanceStats Live = St.flatStats();
+    EXPECT_EQ(Live.Rebuilds, 1u);
+    EXPECT_EQ(Live.Refreshes, 1u);
+    EXPECT_EQ(Live.Hits, 1u);
+  }
+}
+
+TYPED_TEST(WriterFlat, FailedInstallLeavesTheCurrentEpoch) {
+  using Store = TypeParam;
+  for (size_t S : {1u, 8u}) {
+    // Before publication (the WAL append) and after it (the group commit).
+    for (const char *Site : {"wal.enqueue.before", "wal.sync.before"}) {
+      SCOPED_TRACE(testing::Message() << S << " shards, " << Site);
+      const VertexId N = 256 * VertexId(S);
+      dtest::TempDir D;
+      Store St(dtest::optsFor(D.path()), S, N);
+      St.insertBatch(randomBatch(N, 1000, 220 + S));
+      (void)St.acquireFlat();
+      {
+        FailpointGuard G(Site, FailAction::crash());
+        EXPECT_ANY_THROW(St.insertBatch(edgesFrom(strided(1, 3, 20), N)));
+      }
+      bool Published = St.batchSeq() == 2;
+      EXPECT_EQ(Published, std::string(Site) == "wal.sync.before");
+      // Unpublished, the live flat still renders the current epoch (a
+      // hit); published, the flat was dropped and the read rebuilds.
+      auto FE = St.acquireFlat();
+      expectMatchesRebuild(St, *FE);
+      FlatMaintenanceStats Stats = St.flatStats();
+      EXPECT_EQ(Stats.Rebuilds, Published ? 2u : 1u);
+      EXPECT_EQ(Stats.Hits, Published ? 0u : 1u);
+      EXPECT_EQ(Stats.Refreshes, 0u);
+    }
+  }
+}
+
+TYPED_TEST(WriterFlat, DisjointWritersAndReadersSeeWholeEpochs) {
+  using Store = TypeParam;
+  const size_t Writers = 4, Batches = 24, K = 6;
+  // Writer W's batch B: K fresh edges from the sources Src(W, B, J), all
+  // in shard 2W of an 8-shard store (shard = v & 7).
+  auto Src = [&](size_t W, size_t B, size_t J) {
+    return VertexId((B * K + J) * 8 + 2 * W);
+  };
+  const VertexId N = VertexId(Batches * K * 8 + 8);
+  for (size_t S : {1u, 8u}) {
+    SCOPED_TRACE(testing::Message() << S << " shards");
+    Store St(S, N);
+    (void)St.acquireFlat();
+    std::atomic<size_t> Running{Writers}, ReadersUp{0};
+    std::atomic<uint64_t> Violations{0}, Checked{0};
+
+    std::vector<std::thread> Ts;
+    for (size_t W = 0; W < Writers; ++W)
+      Ts.emplace_back([&, W] {
+        while (ReadersUp.load() < 2)
+          std::this_thread::yield();
+        for (size_t B = 0; B < Batches; ++B) {
+          std::vector<EdgePair> Batch;
+          for (size_t J = 0; J < K; ++J)
+            Batch.push_back({Src(W, B, J), VertexId(B * 7 + J)});
+          St.insertBatch(Batch);
+        }
+        Running.fetch_sub(1);
+      });
+    for (int R = 0; R < 2; ++R)
+      Ts.emplace_back([&] {
+        uint64_t LastSeq = 0;
+        ReadersUp.fetch_add(1);
+        do {
+          auto FE = St.acquireFlat();
+          auto V = FE->view();
+          bool Ok = FE->BatchSeq >= LastSeq &&
+                    FE->NumEdges == FE->BatchSeq * K;
+          LastSeq = FE->BatchSeq;
+          // Each writer's batches are a prefix, and the prefixes add up
+          // to the flat's BatchSeq: a whole-epoch cut.
+          uint64_t Applied = 0;
+          for (size_t W = 0; W < Writers; ++W) {
+            size_t Done = 0;
+            while (Done < Batches && V.degree(Src(W, Done, 0)) > 0)
+              ++Done;
+            for (size_t B = 0; B < Batches; ++B)
+              for (size_t J = 0; J < K; ++J)
+                Ok &= V.degree(Src(W, B, J)) == (B < Done ? 1u : 0u);
+            Applied += Done;
+          }
+          Ok &= Applied == FE->BatchSeq;
+          // Slot by slot against a rebuild of the shards it renders.
+          for (size_t Sh = 0; Sh < FE->Flats.size(); ++Sh) {
+            const typename Store::Flat &F = FE->Flats[Sh];
+            typename Store::Flat Re(F.graph(), unsigned(FE->LogShards));
+            Ok &= F.numVertices() == Re.numVertices();
+            for (VertexId L = 0; Ok && L < F.numVertices(); ++L)
+              Ok &= F.degree(L) == Re.degree(L) &&
+                    F.edges(L).toVector() == Re.edges(L).toVector();
+          }
+          Violations.fetch_add(!Ok);
+          Checked.fetch_add(1);
+        } while (Running.load() > 0);
+      });
+    for (auto &T : Ts)
+      T.join();
+    EXPECT_EQ(Violations.load(), 0u);
+    EXPECT_GT(Checked.load(), 0u);
+    auto FE = St.acquireFlat();
+    EXPECT_EQ(FE->BatchSeq, Writers * Batches);
+    expectMatchesRebuild(St, *FE);
+    FlatMaintenanceStats Stats = St.flatStats();
+    EXPECT_EQ(Stats.Rebuilds, 1u);
+    EXPECT_EQ(Stats.Refreshes, Writers * Batches);
+  }
 }

@@ -18,8 +18,8 @@
 //    exact while workers poll, park or shed, and a worker's own context
 //    serves warm queries allocation-free.
 //  - acquireFlat() lock-free fast path: repeated hits on an unchanged
-//    epoch are counted and all readers see the same flat; a query that
-//    refreshes releases the superseded flat after its callback.
+//    epoch are counted and all readers see the same flat; a write's
+//    worker refreshes the flat and releases the one it superseded.
 //
 //===----------------------------------------------------------------------===//
 
@@ -766,36 +766,40 @@ TEST(ServeFlat, FastPathHitsOnUnchangedEpoch) {
   EXPECT_EQ(St.Rebuilds, 1u);
   EXPECT_EQ(St.Refreshes, 0u);
   EXPECT_EQ(St.Hits, Threads * Iters);
-  // After a batch, the next acquire refreshes and later hits resume.
+  // The batch's writer refreshes the flat, so the acquires after it hit.
   Store.insertBatch(randomBatch(N, 100, 10));
   auto F1 = Store.acquireFlat();
   EXPECT_NE(F1.get(), F0.get());
   EXPECT_EQ(Store.acquireFlat().get(), F1.get());
   St = Store.flatStats();
   EXPECT_EQ(St.Refreshes + St.Rebuilds, 2u);
-  EXPECT_EQ(St.Hits, Threads * Iters + 1);
+  EXPECT_EQ(St.Hits, Threads * Iters + 2);
 }
 
-TEST(ServeFlat, QueryReleasesSupersededFlatAfterItsCallback) {
+TEST(ServeFlat, WriterReleasesSupersededFlatAfterItsAck) {
   const VertexId N = 1 << 10;
   ShardedGraphStore Store(4, N, randomBatch(N, 3000, 11));
   std::weak_ptr<const ShardedGraphStore::FlatEpoch> Prev =
       Store.acquireFlat();
-  Store.insertBatch(randomBatch(N, 40, 12));
   SnapshotServerT<ShardedGraphStore>::Options O;
   O.Workers = 1;
   SnapshotServerT<ShardedGraphStore> Server(Store, O);
-  std::atomic<int> AliveInCallback{-1};
+  ASSERT_TRUE(Server.submitInsert(randomBatch(N, 40, 12)));
+  Server.drain();
+  // The write's worker refreshed the flat after the batch was published
+  // and released the one it superseded; no query ran to do either.
+  EXPECT_EQ(Store.batchSeq(), 1u);
+  EXPECT_TRUE(Prev.expired());
+  std::atomic<uint64_t> PinnedSeq{0};
   ASSERT_TRUE(Server.submitQuery([&](auto &QC) {
-    (void)QC.flat(); // refreshes, superseding Prev
-    AliveInCallback.store(!Prev.expired());
+    PinnedSeq.store(QC.flat()->BatchSeq); // a hit on the refreshed flat
   }));
   Server.drain();
-  // The query context held the superseded flat through the callback and
-  // released it once the query was done.
-  EXPECT_EQ(AliveInCallback.load(), 1);
-  EXPECT_TRUE(Prev.expired());
-  EXPECT_EQ(Store.flatStats().Refreshes, 1u);
+  EXPECT_EQ(PinnedSeq.load(), 1u);
+  auto St = Store.flatStats();
+  EXPECT_EQ(St.Rebuilds, 1u);
+  EXPECT_EQ(St.Refreshes, 1u);
+  EXPECT_EQ(St.Hits, 1u);
   Server.stop();
 }
 
@@ -808,7 +812,7 @@ TEST(ServeFlat, SingleShardFastPathHits) {
   auto St = Store.flatStats();
   EXPECT_EQ(St.Rebuilds, 1u);
   EXPECT_EQ(St.Hits, 10u);
-  Store.insertBatch(randomBatch(N, 20, 4)); // < N/8 touched: refresh
+  Store.insertBatch(randomBatch(N, 20, 4)); // its writer refreshes
   auto F1 = Store.acquireFlat();
   EXPECT_NE(F1.get(), F0.get());
   St = Store.flatStats();
