@@ -342,7 +342,7 @@ public:
   }
 
   //===--------------------------------------------------------------------===
-  // Batch routing helpers. Both the span paths below and the sharded
+  // Batch routing helpers. Both insertEdges/deleteEdges and the sharded
   // store's shard merges group through groupSpan (borrowed scratch, so
   // steady-state ingest allocates only the functional-tree structure
   // itself) and merge through insertGrouped/deleteGrouped.
@@ -417,18 +417,6 @@ public:
     return GraphSnapshotT(NewRoot, Params);
   }
 
-  /// insertEdges over a borrowed span, grouped through borrowed scratch
-  /// (no input-sized heap allocation; the new tree structure is the only
-  /// durable allocation).
-  GraphSnapshotT insertEdgesSpan(const EdgePair *Edges, size_t K) const {
-    return combineSpan(Edges, K, /*Insert=*/true);
-  }
-
-  /// deleteEdges over a borrowed span.
-  GraphSnapshotT deleteEdgesSpan(const EdgePair *Edges, size_t K) const {
-    return combineSpan(Edges, K, /*Insert=*/false);
-  }
-
   /// New snapshot containing the additional vertices (with empty edge
   /// sets); existing vertices keep their edges.
   GraphSnapshotT insertVertices(std::vector<VertexId> Vs) const {
@@ -489,7 +477,7 @@ public:
   }
 
 private:
-  /// Shared core of the span batch paths: groupSpan, then the grouped
+  /// Shared core of insertEdges/deleteEdges: groupSpan, then the grouped
   /// merge.
   GraphSnapshotT combineSpan(const EdgePair *Edges, size_t K,
                              bool Insert) const {

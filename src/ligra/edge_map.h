@@ -123,12 +123,17 @@ inline constexpr bool HasNeighborCursorV =
 template <class V>
 inline constexpr bool HasContainsEdgeV = detail::HasContainsEdge<V>::value;
 
+/// edgeMap goes dense when |U| + sum deg(U) > m / DenseThresholdDenominator.
+/// 20 is Ligra's value. The dense scan visits all n vertices but reads
+/// each one's in-edges only up to its early exit; the sparse one pays an
+/// atomic update per out-edge of U and a compaction of its output. From
+/// about m/20 frontier edges on, the dense scan is the cheaper of the two.
+inline constexpr uint64_t DenseThresholdDenominator = 20;
+
 struct EdgeMapOptions {
   /// Disable the dense traversal (used for the Stinger/LLAMA comparisons,
   /// whose implementations do not direction-optimize).
   bool NoDense = false;
-  /// Dense threshold denominator: go dense when |U| + sum deg > m / Den.
-  uint64_t ThresholdDenominator = 20;
 };
 
 namespace detail {
@@ -218,7 +223,7 @@ VertexSubset edgeMap(const GView &G, VertexSubset &U, F Fn,
     });
   }
 
-  uint64_t Threshold = G.numEdges() / Options.ThresholdDenominator;
+  uint64_t Threshold = G.numEdges() / DenseThresholdDenominator;
   bool GoDense =
       !Options.NoDense && U.size() + DegreeSum > Threshold;
 

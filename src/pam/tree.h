@@ -43,7 +43,6 @@
 #include <tuple>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 namespace aspen {
 
@@ -376,20 +375,6 @@ template <class Entry> struct Tree {
     return Cand;
   }
 
-  /// Smallest entry with key >= K, or null.
-  static const Node *findGE(const Node *T, const KeyT &K) {
-    const Node *Cand = nullptr;
-    while (T) {
-      if (Entry::less(T->Key, K)) {
-        T = T->Right;
-      } else {
-        Cand = T;
-        T = T->Left;
-      }
-    }
-    return Cand;
-  }
-
   static const Node *first(const Node *T) {
     if (!T)
       return nullptr;
@@ -404,72 +389,6 @@ template <class Entry> struct Tree {
     while (T->Right)
       T = T->Right;
     return T;
-  }
-
-  /// Entry of in-order rank \p I (0-based); requires I < size(T).
-  static const Node *select(const Node *T, uint32_t I) {
-    while (true) {
-      assert(T && I < T->Size && "select out of range");
-      uint32_t LS = size(T->Left);
-      if (I < LS) {
-        T = T->Left;
-      } else if (I == LS) {
-        return T;
-      } else {
-        I -= LS + 1;
-        T = T->Right;
-      }
-    }
-  }
-
-  /// Aggregate of the augmentation over all entries with Lo <= key <= Hi,
-  /// in O(log n) work (the range-sum query of Section 2).
-  static AugT augRange(const Node *T, const KeyT &Lo, const KeyT &Hi) {
-    if (!T)
-      return Entry::augIdentity();
-    if (Entry::less(T->Key, Lo))
-      return augRange(T->Right, Lo, Hi);
-    if (Entry::less(Hi, T->Key))
-      return augRange(T->Left, Lo, Hi);
-    AugT A = Entry::augCombine(augFrom(T->Left, Lo),
-                               Entry::augOfEntry(T->Key, T->Val));
-    return Entry::augCombine(A, augTo(T->Right, Hi));
-  }
-
-  /// Aggregate over entries with key >= Lo.
-  static AugT augFrom(const Node *T, const KeyT &Lo) {
-    if (!T)
-      return Entry::augIdentity();
-    if (Entry::less(T->Key, Lo))
-      return augFrom(T->Right, Lo);
-    AugT A = Entry::augCombine(augFrom(T->Left, Lo),
-                               Entry::augOfEntry(T->Key, T->Val));
-    return Entry::augCombine(A, aug(T->Right));
-  }
-
-  /// Aggregate over entries with key <= Hi.
-  static AugT augTo(const Node *T, const KeyT &Hi) {
-    if (!T)
-      return Entry::augIdentity();
-    if (Entry::less(Hi, T->Key))
-      return augTo(T->Left, Hi);
-    AugT A = Entry::augCombine(aug(T->Left),
-                               Entry::augOfEntry(T->Key, T->Val));
-    return Entry::augCombine(A, augTo(T->Right, Hi));
-  }
-
-  /// Number of keys strictly less than \p K.
-  static uint32_t rank(const Node *T, const KeyT &K) {
-    uint32_t R = 0;
-    while (T) {
-      if (Entry::less(T->Key, K)) {
-        R += size(T->Left) + 1;
-        T = T->Right;
-      } else {
-        T = T->Left;
-      }
-    }
-    return R;
   }
 
   //===--------------------------------------------------------------------===
@@ -642,18 +561,6 @@ template <class Entry> struct Tree {
   public:
     Cursor() = default;
     explicit Cursor(const Node *Root) { descend(Root); }
-    /// Cursor positioned at the first entry with key >= LoKey.
-    Cursor(const Node *Root, const KeyT &LoKey) {
-      const Node *N = Root;
-      while (N) {
-        if (Entry::less(N->Key, LoKey)) {
-          N = N->Right;
-        } else {
-          push(N);
-          N = N->Left;
-        }
-      }
-    }
 
     bool done() const { return Top == 0; }
     const Node *node() const {
@@ -751,15 +658,6 @@ template <class Entry> struct Tree {
     return iterCond(T->Right, Fn);
   }
 
-  /// Collect all entries into a vector, in key order.
-  static std::vector<std::pair<KeyT, ValT>> entries(const Node *T) {
-    std::vector<std::pair<KeyT, ValT>> Out(size(T));
-    forEachIndexed(T, 0, [&](size_t I, const KeyT &K, const ValT &V) {
-      Out[I] = {K, V};
-    });
-    return Out;
-  }
-
   //===--------------------------------------------------------------------===
   // Validation (test support).
   //===--------------------------------------------------------------------===
@@ -838,59 +736,6 @@ private:
     validateRec(T->Left, Lo, &T->Key, Ok);
     validateRec(T->Right, &T->Key, Hi, Ok);
   }
-};
-
-/// RAII handle over a tree root; copies retain, destruction releases.
-template <class Entry> class TreeHandle {
-public:
-  using Ops = Tree<Entry>;
-  using Node = typename Ops::Node;
-
-  TreeHandle() = default;
-  /// Adopts \p Root (takes over one reference).
-  explicit TreeHandle(Node *Root) : Root(Root) {}
-
-  TreeHandle(const TreeHandle &O) : Root(O.Root) { Ops::retain(Root); }
-  TreeHandle(TreeHandle &&O) noexcept : Root(O.Root) { O.Root = nullptr; }
-  TreeHandle &operator=(const TreeHandle &O) {
-    if (this != &O) {
-      Ops::retain(O.Root);
-      Ops::release(Root);
-      Root = O.Root;
-    }
-    return *this;
-  }
-  TreeHandle &operator=(TreeHandle &&O) noexcept {
-    if (this != &O) {
-      Ops::release(Root);
-      Root = O.Root;
-      O.Root = nullptr;
-    }
-    return *this;
-  }
-  ~TreeHandle() { Ops::release(Root); }
-
-  /// Borrow the root without ownership transfer.
-  Node *get() const { return Root; }
-
-  /// Take ownership of the root out of the handle.
-  Node *take() {
-    Node *T = Root;
-    Root = nullptr;
-    return T;
-  }
-
-  /// Replace the owned root (adopting one reference on \p T).
-  void adopt(Node *T) {
-    Ops::release(Root);
-    Root = T;
-  }
-
-  size_t size() const { return Ops::size(Root); }
-  bool empty() const { return Root == nullptr; }
-
-private:
-  Node *Root = nullptr;
 };
 
 } // namespace aspen

@@ -136,31 +136,6 @@ TYPED_TEST(GraphRepTest, DeleteEdgesBatch) {
   EXPECT_EQ(G.numVertices(), N);
 }
 
-TYPED_TEST(GraphRepTest, SpanBatchPathsMatchVectorPaths) {
-  // insertEdgesSpan/deleteEdgesSpan (borrowed spans, scratch grouping)
-  // must produce graphs identical to the vector paths, including
-  // duplicate and absent edges.
-  const VertexId N = 512;
-  auto Base = randomEdgeBatch(3000, N, 77);
-  TypeParam G1 = TypeParam::fromEdges(N, Base);
-  TypeParam G2 = TypeParam::fromEdges(N, Base);
-  for (int Round = 0; Round < 5; ++Round) {
-    auto Ins = randomEdgeBatch(600, N, 900 + Round);
-    Ins.insert(Ins.end(), Ins.begin(), Ins.begin() + 50); // duplicates
-    auto Del = randomEdgeBatch(300, N, 950 + Round);      // mostly absent
-    G1 = G1.insertEdges(Ins).deleteEdges(Del);
-    auto InsCopy = Ins;
-    auto DelCopy = Del;
-    G2 = G2.insertEdgesSpan(InsCopy.data(), InsCopy.size())
-             .deleteEdgesSpan(DelCopy.data(), DelCopy.size());
-    ASSERT_EQ(G1.numEdges(), G2.numEdges()) << "round " << Round;
-    ASSERT_TRUE(G2.checkInvariants()) << "round " << Round;
-    for (VertexId V = 0; V < N; ++V)
-      ASSERT_EQ(G1.findVertex(V).toVector(), G2.findVertex(V).toVector())
-          << "vertex " << V << " round " << Round;
-  }
-}
-
 TYPED_TEST(GraphRepTest, MixedInsertDeleteMatchesReference) {
   const VertexId N = 300;
   TypeParam G = TypeParam::fromEdges(N, {});

@@ -154,32 +154,15 @@ TEST(PamBasic, BuildSortedIsBalancedAndOrdered) {
   S::release(T);
 }
 
-TEST(PamBasic, FindLEAndGE) {
+TEST(PamBasic, FindLE) {
   std::vector<uint32_t> Keys = {10, 20, 30, 40};
   S::Node *T = S::buildSorted(keysToEntries(Keys).data(), Keys.size());
   EXPECT_EQ(S::findLE(T, 5u), nullptr);
   EXPECT_EQ(S::findLE(T, 10u)->Key, 10u);
   EXPECT_EQ(S::findLE(T, 25u)->Key, 20u);
   EXPECT_EQ(S::findLE(T, 100u)->Key, 40u);
-  EXPECT_EQ(S::findGE(T, 100u), nullptr);
-  EXPECT_EQ(S::findGE(T, 5u)->Key, 10u);
-  EXPECT_EQ(S::findGE(T, 21u)->Key, 30u);
   EXPECT_EQ(S::first(T)->Key, 10u);
   EXPECT_EQ(S::last(T)->Key, 40u);
-  S::release(T);
-}
-
-TEST(PamBasic, SelectAndRank) {
-  auto Keys = sortedUnique(randomKeys(5000, 4, 1u << 20));
-  S::Node *T = S::buildSorted(keysToEntries(Keys).data(), Keys.size());
-  for (size_t I = 0; I < Keys.size(); I += 97)
-    EXPECT_EQ(S::select(T, uint32_t(I))->Key, Keys[I]);
-  for (size_t I = 0; I < Keys.size(); I += 131) {
-    EXPECT_EQ(S::rank(T, Keys[I]), I);
-    EXPECT_EQ(S::rank(T, Keys[I] + 1),
-              std::upper_bound(Keys.begin(), Keys.end(), Keys[I]) -
-                  Keys.begin());
-  }
   S::release(T);
 }
 
@@ -451,46 +434,6 @@ TEST(PamAug, SumAugTracksValues) {
   M::release(T);
 }
 
-TEST(PamAug, RangeSumMatchesReference) {
-  // Random key-value pairs; augRange must equal the brute-force sum over
-  // the key interval.
-  std::map<uint32_t, int64_t> Ref;
-  M::Node *T = nullptr;
-  for (uint32_t I = 0; I < 3000; ++I) {
-    uint32_t K = uint32_t(hashAt(200, I) % 50000);
-    int64_t V = int64_t(hashAt(201, I) % 1000);
-    T = M::insert(T, K, V);
-    Ref[K] = V;
-  }
-  for (int Case = 0; Case < 50; ++Case) {
-    uint32_t A = uint32_t(hashAt(202, Case) % 50000);
-    uint32_t B = uint32_t(hashAt(203, Case) % 50000);
-    uint32_t Lo = std::min(A, B), Hi = std::max(A, B);
-    int64_t Expect = 0;
-    for (auto It = Ref.lower_bound(Lo);
-         It != Ref.end() && It->first <= Hi; ++It)
-      Expect += It->second;
-    ASSERT_EQ(M::augRange(T, Lo, Hi), Expect)
-        << "range [" << Lo << "," << Hi << "]";
-  }
-  M::release(T);
-}
-
-TEST(PamAug, RangeSumBoundaries) {
-  std::vector<std::pair<uint32_t, int64_t>> E = {
-      {10, 1}, {20, 2}, {30, 4}, {40, 8}};
-  M::Node *T = M::buildSorted(E.data(), E.size());
-  EXPECT_EQ(M::augRange(T, 10u, 40u), 15);
-  EXPECT_EQ(M::augRange(T, 10u, 10u), 1);
-  EXPECT_EQ(M::augRange(T, 11u, 29u), 2);
-  EXPECT_EQ(M::augRange(T, 41u, 100u), 0);
-  EXPECT_EQ(M::augRange(T, 0u, 9u), 0);
-  EXPECT_EQ(M::augFrom(T, 25u), 12);
-  EXPECT_EQ(M::augTo(T, 25u), 3);
-  EXPECT_EQ(M::augRange(nullptr, 0u, 100u), 0);
-  M::release(T);
-}
-
 TEST(PamPersistence, SnapshotsAreImmutable) {
   auto Keys = sortedUnique(randomKeys(10000, 50, 1u << 20));
   S::Node *V1 = S::buildSorted(keysToEntries(Keys).data(), Keys.size());
@@ -581,20 +524,6 @@ TEST(PamTraversal, IterCondStopsEarly) {
   EXPECT_FALSE(Finished);
   EXPECT_EQ(Seen, (std::vector<uint32_t>{1, 2, 3, 4, 5}));
   S::release(T);
-}
-
-TEST(PamHandle, RAIIRetainsAndReleases) {
-  int64_t Base = livePamNodes();
-  {
-    auto Keys = sortedUnique(randomKeys(1000, 90, 10000));
-    TreeHandle<SetEntry> H(
-        S::buildSorted(keysToEntries(Keys).data(), Keys.size()));
-    TreeHandle<SetEntry> Copy = H;
-    EXPECT_EQ(Copy.size(), H.size());
-    TreeHandle<SetEntry> Moved = std::move(Copy);
-    EXPECT_EQ(Moved.size(), Keys.size());
-  }
-  EXPECT_EQ(livePamNodes(), Base);
 }
 
 //===----------------------------------------------------------------------===
