@@ -17,11 +17,14 @@
 //                           the default hybrid store and on chunked
 //   serve/overload/*        shed fraction + admitted-query p99 when
 //                           offered load far exceeds capacity
-//   serve/handoff/*         submit -> query start for one query at a time
-//                           after an idle gap of 20 us .. 20 ms (either
-//                           side of the admission queue's spin window),
-//                           and the idle server's CPU share once traffic
-//                           stops (its poller parks)
+//   serve/handoff/*         after an idle gap of 20 us .. 20 ms (either
+//                           side of the admission queue's spin window):
+//                           gap_* submit -> query start for one query at
+//                           a time (at an idle server it runs on the
+//                           submitting thread), write_gap_* submit ->
+//                           publish of a 1-edge insert (always a worker's
+//                           wake); and the idle server's CPU share once
+//                           traffic stops (its poller parks)
 //
 //   -json <path>    write every metric as flat JSON (BENCH_serving.json)
 //   -compare <path> annotate rows with before/after ratios vs a prior file
@@ -374,7 +377,7 @@ void benchHandoff(const BenchConfig &C) {
   O.Workers = 2; // the end-to-end benchmark's tiny_stream server
   auto Server = std::make_unique<SnapshotServer>(S, O);
 
-  std::printf("\n== handoff: %zu workers, one query at a time after an "
+  std::printf("\n== handoff: %zu workers, one request at a time after an "
               "idle gap (spin window %lld us) ==\n",
               O.Workers,
               static_cast<long long>(
@@ -389,31 +392,56 @@ void benchHandoff(const BenchConfig &C) {
                       {"200us", std::chrono::microseconds(200), 1000},
                       {"2ms", std::chrono::microseconds(2000), 200},
                       {"20ms", std::chrono::microseconds(20000), 100}};
-  for (const Gap &G : Gaps) {
-    std::vector<double> Wait;
-    Wait.reserve(G.Samples);
-    for (size_t I = 0; I < G.Samples; ++I) {
-      // The client polls through the gap, as the end-to-end benchmark's
-      // generator does, so only the server's wake is measured.
-      auto Due = std::chrono::steady_clock::now() + G.Length;
-      while (std::chrono::steady_clock::now() < Due)
-        std::this_thread::yield();
-      std::atomic<bool> Done{false};
-      double Waited = 0;
-      Timer QT;
-      while (!Server->submitQuery([&, QT](auto &) {
-        Waited = QT.elapsed();
-        Done.store(true, std::memory_order_release);
-      }))
-        std::this_thread::yield();
-      while (!Done.load(std::memory_order_acquire))
-        std::this_thread::yield();
-      Wait.push_back(Waited);
+  // One request at a time after each gap; Once() submits one and returns
+  // its wait. The client polls through the gap, as the end-to-end
+  // benchmark's generator does, so only the server's handoff is measured.
+  auto Sweep = [&](const char *Prefix, auto Once) {
+    for (const Gap &G : Gaps) {
+      std::vector<double> Wait;
+      Wait.reserve(G.Samples);
+      for (size_t I = 0; I < G.Samples; ++I) {
+        auto Due = std::chrono::steady_clock::now() + G.Length;
+        while (std::chrono::steady_clock::now() < Due)
+          std::this_thread::yield();
+        Wait.push_back(Once());
+      }
+      std::string P = std::string("serve/handoff/") + Prefix + G.Name;
+      reportTime(P + "/wait_p50_s", percentile(Wait, 0.50));
+      reportTime(P + "/wait_p99_s", percentile(Wait, 0.99));
     }
-    std::string P = std::string("serve/handoff/gap_") + G.Name;
-    reportTime(P + "/wait_p50_s", percentile(Wait, 0.50));
-    reportTime(P + "/wait_p99_s", percentile(Wait, 0.99));
-  }
+  };
+
+  // A write always goes through the queue, so it shows the wake a read
+  // no longer pays: inside the spin window the poller takes it, past it
+  // a parked worker is woken. The wait includes the 1-edge install.
+  uint64_t Edge = 0;
+  Sweep("write_gap_", [&] {
+    uint64_t H = hash64(++Edge);
+    EdgePair E{VertexId(H % N), VertexId((H >> 32) % N)};
+    uint64_t Seq = S.batchSeq() + 1;
+    Timer WT;
+    while (!Server->submitInsert({E}))
+      std::this_thread::yield();
+    while (S.batchSeq() < Seq)
+      std::this_thread::yield();
+    return WT.elapsed();
+  });
+
+  // A read, submit -> start: on the caller slot once both workers have
+  // parked, else on a worker.
+  Sweep("gap_", [&] {
+    std::atomic<bool> Done{false};
+    double Waited = 0;
+    Timer QT;
+    while (!Server->submitQuery([&, QT](auto &) {
+      Waited = QT.elapsed();
+      Done.store(true, std::memory_order_release);
+    }))
+      std::this_thread::yield();
+    while (!Done.load(std::memory_order_acquire))
+      std::this_thread::yield();
+    return Waited;
+  });
 
   // Traffic just stopped: the poller spins out its window, then parks.
   // The scheduler's idle helpers also use CPU, so the same silence with

@@ -90,10 +90,9 @@ namespace detail {
 template <class K, class BC, class F>
 bool iterateBlocks(BC Cu, const F &Fn) {
   do {
-    const auto *V = Cu.blockValues();
     uint32_t L = Cu.blockLen();
     for (uint32_t I = Cu.blockPos(); I < L; ++I)
-      if (!Fn(static_cast<K>(V[I])))
+      if (!Fn(static_cast<K>(Cu.blockValue(I))))
         return false;
   } while (Cu.nextBlock());
   return true;
@@ -252,11 +251,11 @@ struct DeltaByteCodec {
     size_t byteOffset() const { return EndOff[Pos]; }
 
     /// Block-bulk access for sequential consumers: the decoded elements
-    /// of the current block are blockValues()[blockPos() .. blockLen()),
-    /// a plain array the compiler keeps register-resident loops over.
-    /// nextBlock() consumes the whole window and decodes the next one
-    /// (false when the chunk is exhausted).
-    const BufT *blockValues() const { return Buf; }
+    /// of the current block are blockValue(blockPos() .. blockLen()-1),
+    /// reads of a plain array the compiler keeps register-resident loops
+    /// over. nextBlock() consumes the whole window and decodes the next
+    /// one (false when the chunk is exhausted).
+    BufT blockValue(uint32_t J) const { return Buf[J]; }
     uint32_t blockPos() const { return Pos; }
     uint32_t blockLen() const { return Len; }
     bool nextBlock() {
@@ -344,18 +343,16 @@ struct RawCodec {
   }
 
   /// Raw payloads ARE element arrays (after the header-held first
-  /// element), so the cursor's block interface is zero-copy: block 0 is
-  /// the header element, block 1 the payload itself.
+  /// element), so the cursor's block interface decodes nothing: block 0
+  /// is the header element, block 1 the payload itself.
   template <class K> class Cursor {
   public:
-    using BufT = K;
-
     Cursor() = default;
     explicit Cursor(const ChunkPayload<K> *C) {
       if (!C)
         return;
       FirstBuf = C->First;
-      Data = reinterpret_cast<const AliasK *>(C->data());
+      Data = C->data();
       Count = C->Count;
       L = 1;
     }
@@ -364,7 +361,7 @@ struct RawCodec {
     uint32_t remaining() const { return remainingFrom(I); }
     K value() const {
       assert(!done() && "value() on exhausted cursor");
-      return blockValues()[I];
+      return blockValue(I);
     }
     void advance() {
       assert(!done() && "advance() on exhausted cursor");
@@ -380,17 +377,16 @@ struct RawCodec {
       if (done() || value() >= Key)
         return;
       for (;;) {
-        // Invariant: BV[I] < Key; find the in-block lower bound.
-        const BufT *BV = blockValues();
+        // Invariant: blockValue(I) < Key; find the in-block lower bound.
         uint32_t Lo = I, Hi = L;
         while (Hi - Lo > 1) {
           uint32_t Mid = Lo + (Hi - Lo) / 2;
-          if (BV[Mid] < Key)
+          if (blockValue(Mid) < Key)
             Lo = Mid;
           else
             Hi = Mid;
         }
-        Prev = BV[Lo];
+        Prev = blockValue(Lo);
         PrevOff = byteOffsetAt(Lo);
         I = Hi;
         if (I < L)
@@ -404,10 +400,18 @@ struct RawCodec {
     size_t prevByteOffset() const { return PrevOff; }
 
     /// Block-bulk interface (see DeltaByteCodec::Cursor): elements
-    /// blockValues()[blockPos() .. blockLen()), nextBlock() to continue.
-    /// The pointer is computed, never cached, so cursors stay safely
-    /// copyable (block 0 lives in the cursor object itself).
-    const BufT *blockValues() const { return Tail ? Data : &FirstBuf; }
+    /// blockValue(blockPos() .. blockLen()-1), nextBlock() to continue.
+    /// Block 0 is the header element, held in the cursor itself; block 1
+    /// is read in place from the payload. Its bytes are raw element
+    /// images, so each element is loaded with memcpy rather than through
+    /// a typed pointer into the byte buffer.
+    K blockValue(uint32_t J) const {
+      if (!Tail)
+        return FirstBuf;
+      K V;
+      std::memcpy(&V, Data + size_t(J) * sizeof(K), sizeof(K));
+      return V;
+    }
     uint32_t blockPos() const { return I; }
     uint32_t blockLen() const { return L; }
     bool nextBlock() {
@@ -428,13 +432,9 @@ struct RawCodec {
     }
 
   private:
-    // The payload bytes were written as raw element images; allow the
-    // typed view to alias them.
-    using AliasK = K __attribute__((may_alias));
-
     K FirstBuf{};
     K Prev{};
-    const AliasK *Data = nullptr;
+    const uint8_t *Data = nullptr;
     size_t PrevOff = 0;
     uint32_t I = 0;
     uint32_t L = 0;

@@ -30,6 +30,11 @@
 // and non-empty, and as none while held, so writes queued behind a held
 // group neither wake a worker nor keep the poller spinning.
 //
+// Caller slot: when every consumer is parked and nothing is available,
+// claimCaller() lets the submitting thread serve one read itself instead
+// of pushing it and paying for a wake. One caller holds the slot at a
+// time, until releaseCaller(); a caller-served read counts as admitted.
+//
 //===----------------------------------------------------------------------===//
 
 #ifndef ASPEN_SERVE_ADMISSION_H
@@ -159,6 +164,26 @@ public:
       CV.notify_one();
   }
 
+  /// Claim the caller slot: true when \p Consumers consumers are parked,
+  /// no item is available, no other caller holds the slot and the queue
+  /// is not stopped. The claimed read counts in AdmittedReads; the caller
+  /// serves it and then calls releaseCaller().
+  bool claimCaller(size_t Consumers) {
+    std::lock_guard<std::mutex> L(M);
+    if (CallerBusy || Parked != Consumers || Available.load() ||
+        Stopped.load(std::memory_order_relaxed))
+      return false;
+    CallerBusy = true;
+    ++St.AdmittedReads;
+    return true;
+  }
+
+  /// Give back the caller slot claimCaller() granted.
+  void releaseCaller() {
+    std::lock_guard<std::mutex> L(M);
+    CallerBusy = false;
+  }
+
   /// Stop admitting; wake all poppers and end a poll. Already-admitted
   /// requests still drain through pop().
   void stop() {
@@ -256,7 +281,8 @@ private:
   std::atomic<size_t> Available{0};
   std::atomic<bool> Stopped{false}; ///< written under M
   std::atomic<bool> Polling{false}; ///< a worker is in poll()
-  unsigned Parked = 0;              ///< workers waiting on CV (under M)
+  size_t Parked = 0;                ///< workers waiting on CV (under M)
+  bool CallerBusy = false;          ///< the caller slot is out (under M)
 };
 
 } // namespace aspen

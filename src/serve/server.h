@@ -6,6 +6,7 @@
 //
 //   requests -> AdmissionQueueT (bounded, weighted-fair, load-shedding)
 //     reads  -> the worker's own AlgoContext -> QueryContext (lazy pins)
+//               or, at an idle server, the submitting thread
 //     writes -> one worker at a time holds the write class, takes the
 //               queued same-kind prefix (up to MaxCoalesce batches) and
 //               installs it through IngestFrontT as one epoch
@@ -15,13 +16,22 @@
 // follow submission order at any worker count.
 //
 // Every worker owns one AlgoContext for its lifetime (allocation-free
-// at steady state), and every query runs on its worker's context and
-// pins at most one tree epoch (acquire) and one flat epoch (acquireFlat)
-// for its own lifetime — epoch-consistent reads while the writer
-// streams. Epoch lag — how many batches landed between a query's
+// at steady state). Every query runs on a context no other running query
+// uses, and pins at most one tree epoch (acquire) and one flat epoch
+// (acquireFlat) for its own lifetime — epoch-consistent reads while the
+// writer streams. Epoch lag — how many batches landed between a query's
 // admission and its dequeue, before it pins — is tracked per query;
 // bounded queues keep it bounded under overload (shed, don't stall).
 // A request takes no server-wide lock outside the admission queue.
+//
+// Caller-run reads: a query submitted while every worker is parked and
+// nothing is queued runs at once on the submitting thread, on the
+// server's one caller context, instead of paying for a worker's wake.
+// At most one caller runs a read at a time (the admission queue's caller
+// slot), so at most Workers + 1 reads run at once. No worker then holds
+// a write group, so the store's flat is current and the pin does not
+// wait. A query may therefore run before submitQuery returns: it must
+// not wait for anything its submitting thread does after the call.
 //
 //===----------------------------------------------------------------------===//
 
@@ -49,8 +59,9 @@ public:
     size_t WriteQueueCap = 64;  ///< queued batches before shedding
   };
 
-  /// Per-query execution context: the worker's workspace plus lazily
-  /// pinned snapshots. Pins live exactly as long as the query runs.
+  /// Per-query execution context: the workspace of the worker (or of
+  /// the caller slot) plus lazily pinned snapshots. Pins live exactly as
+  /// long as the query runs.
   class QueryContext {
   public:
     AlgoContext &ctx() { return Ctx; }
@@ -89,16 +100,17 @@ public:
     uint64_t WriteErrors = 0;
     uint64_t EpochLagSum = 0; ///< batches landed while queries queued
     uint64_t EpochLagMax = 0;
+    uint64_t CallerReads = 0; ///< queries run on their submitting thread
     AdmissionStats Admission;                  ///< shed/admit counts
     typename IngestFrontT<Store>::Stats Front; ///< coalescing stats
     uint64_t SessionWaits = 0; ///< always 0: no query waits for a context
   };
 
   SnapshotServerT(Store &S, Options O = {})
-      : S(S), Front(S), Queue({O.ReadQueueCap, O.WriteQueueCap}) {
-    size_t N = O.Workers ? O.Workers : 1;
-    Threads.reserve(N);
-    for (size_t I = 0; I < N; ++I)
+      : S(S), Front(S), Queue({O.ReadQueueCap, O.WriteQueueCap}),
+        Workers(O.Workers ? O.Workers : 1) {
+    Threads.reserve(Workers);
+    for (size_t I = 0; I < Workers; ++I)
       Threads.emplace_back([this] { workerLoop(); });
   }
 
@@ -106,14 +118,24 @@ public:
   SnapshotServerT &operator=(const SnapshotServerT &) = delete;
   ~SnapshotServerT() { stop(); }
 
-  /// Admit a query; false = shed (read queue full). The query runs on a
-  /// worker, with that worker's context, and may pin snapshots via its
-  /// QueryContext.
+  /// Admit a query; false = shed (read queue full) or stopped. The query
+  /// may pin snapshots via its QueryContext. It runs on a worker, with
+  /// that worker's context, or, when every worker is parked and no read
+  /// is queued, on the calling thread before this returns.
   bool submitQuery(Query Q) {
+    InFlight.fetch_add(1); // before the claim, so drain() sees the read
+    if (Queue.claimCaller(Workers)) {
+      runRead(Q, CallerCtx, 0); // never queued: no lag
+      CallerReads.fetch_add(1, std::memory_order_relaxed);
+      Queue.releaseCaller();
+      Q = nullptr; // free the query before acknowledging
+      finish(1);
+      return true;
+    }
     Item It;
     It.Q = std::move(Q);
     It.SubmitSeq = S.batchSeq();
-    return push(RequestClass::Read, std::move(It));
+    return admit(RequestClass::Read, std::move(It));
   }
 
   /// Admit an insert batch; false = shed (write queue full). The batch
@@ -140,13 +162,15 @@ public:
     DrainCV.wait(L, [&] { return InFlight.load() == 0; });
   }
 
-  /// Stop admitting, drain admitted work, join the workers. Idempotent.
+  /// Stop admitting, drain admitted work (a caller-run read included),
+  /// join the workers. Idempotent.
   void stop() {
     Queue.stop();
     for (std::thread &T : Threads)
       if (T.joinable())
         T.join();
     Threads.clear();
+    drain();
   }
 
   Stats stats() const {
@@ -157,6 +181,7 @@ public:
     R.WriteErrors = WriteErrors.load(std::memory_order_relaxed);
     R.EpochLagSum = EpochLagSum.load(std::memory_order_relaxed);
     R.EpochLagMax = EpochLagMax.load(std::memory_order_relaxed);
+    R.CallerReads = CallerReads.load(std::memory_order_relaxed);
     R.Admission = Queue.stats();
     R.Front = Front.stats();
     return R;
@@ -172,6 +197,11 @@ private:
 
   bool push(RequestClass C, Item It) {
     InFlight.fetch_add(1); // optimistic: rolled back on shed
+    return admit(C, std::move(It));
+  }
+
+  /// Queue a request already counted in InFlight; a shed rolls it back.
+  bool admit(RequestClass C, Item It) {
     if (Queue.tryPush(C, std::move(It)))
       return true;
     finish(1);
@@ -200,19 +230,7 @@ private:
         Item &It = Group.front();
         // The lag counts the batches that landed while this read queued,
         // not those that land while it runs.
-        uint64_t Lag = S.batchSeq() - It.SubmitSeq;
-        try {
-          QueryContext QC(S, Ctx);
-          It.Q(QC);
-        } catch (...) {
-          QueryErrors.fetch_add(1, std::memory_order_relaxed);
-        }
-        EpochLagSum.fetch_add(Lag, std::memory_order_relaxed);
-        uint64_t Prev = EpochLagMax.load(std::memory_order_relaxed);
-        while (Lag > Prev && !EpochLagMax.compare_exchange_weak(
-                                 Prev, Lag, std::memory_order_relaxed))
-          ;
-        QueriesDone.fetch_add(1, std::memory_order_relaxed);
+        runRead(It.Q, Ctx, S.batchSeq() - It.SubmitSeq);
       } else {
         Spans.clear();
         for (const Item &It : Group)
@@ -231,12 +249,31 @@ private:
     }
   }
 
+  /// Run one read on \p Ctx and count it; \p Lag is the number of
+  /// batches that landed while it queued.
+  void runRead(const Query &Q, AlgoContext &Ctx, uint64_t Lag) {
+    try {
+      QueryContext QC(S, Ctx);
+      Q(QC);
+    } catch (...) {
+      QueryErrors.fetch_add(1, std::memory_order_relaxed);
+    }
+    EpochLagSum.fetch_add(Lag, std::memory_order_relaxed);
+    uint64_t Prev = EpochLagMax.load(std::memory_order_relaxed);
+    while (Lag > Prev && !EpochLagMax.compare_exchange_weak(
+                             Prev, Lag, std::memory_order_relaxed))
+      ;
+    QueriesDone.fetch_add(1, std::memory_order_relaxed);
+  }
+
   Store &S;
   IngestFrontT<Store> Front;
   AdmissionQueueT<Item> Queue;
+  const size_t Workers;
   std::vector<std::thread> Threads;
+  AlgoContext CallerCtx; ///< used only by the caller slot's holder
 
-  std::atomic<uint64_t> QueriesDone{0}, WritesDone{0};
+  std::atomic<uint64_t> QueriesDone{0}, WritesDone{0}, CallerReads{0};
   std::atomic<uint64_t> QueryErrors{0}, WriteErrors{0};
   std::atomic<uint64_t> EpochLagSum{0}, EpochLagMax{0};
 

@@ -16,7 +16,13 @@
 //    instead of stalling, epoch lag is sampled at dequeue, no request
 //    is lost to the poll-then-park wake path, stop() and drain() stay
 //    exact while workers poll, park or shed, and a worker's own context
-//    serves warm queries allocation-free.
+//    serves warm queries allocation-free. Tests that need a worker held
+//    hold it with WorkerHold, since a query may run on its caller.
+//  - Caller-run reads (both store types): a read at an all-parked server
+//    runs on the submitting thread and is counted; one behind a held
+//    write group is queued; one after an ack sees that epoch; after
+//    stop() nothing runs; a throwing one frees the slot; one caller at
+//    a time; drain() waits for it.
 //  - acquireFlat() lock-free fast path: repeated hits on an unchanged
 //    epoch are counted and all readers see the same flat; a write's
 //    worker refreshes the flat and releases the one it superseded.
@@ -32,9 +38,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <deque>
 #include <dirent.h>
 #include <future>
 #include <memory>
@@ -100,6 +108,61 @@ struct TempDir {
       (void)::rmdir(P.c_str());
     }
   }
+};
+
+/// Holds \p Held workers of a server in queries that block until
+/// release(), whatever the timing. Each blocking query is submitted from
+/// its own helper thread. A query submitted to an idle server takes the
+/// caller slot and blocks its helper instead of a worker, so queries are
+/// added until \p Held of them run on workers; there is one caller slot,
+/// so that takes at most Held + 1 queries.
+template <class Server> class WorkerHold {
+public:
+  WorkerHold(Server &Srv, size_t Held) : Open(Gate.get_future().share()) {
+    while (OnWorkers < Held) {
+      std::atomic<int> &St = States.emplace_back(Pending);
+      Helpers.emplace_back([&Srv, &St, Open = Open] {
+        const std::thread::id Me = std::this_thread::get_id();
+        bool Ok = Srv.submitQuery([&St, Me, Open](auto &) {
+          St.store(std::this_thread::get_id() == Me ? OnCaller : OnWorker);
+          Open.wait();
+        });
+        if (!Ok)
+          St.store(Shed);
+      });
+      int S;
+      while ((S = St.load()) == Pending)
+        std::this_thread::yield();
+      EXPECT_NE(S, Shed) << "a blocking query was shed";
+      if (S == Shed)
+        return;
+      OnWorkers += S == OnWorker;
+    }
+  }
+  ~WorkerHold() { release(); }
+
+  /// Open the gate: every blocking query returns.
+  void release() {
+    if (!Released) {
+      Released = true;
+      Gate.set_value();
+    }
+    for (std::thread &T : Helpers)
+      if (T.joinable())
+        T.join();
+  }
+
+  /// Blocking queries submitted, the one on the caller slot included.
+  size_t queries() const { return States.size(); }
+
+private:
+  enum { Pending, OnCaller, OnWorker, Shed };
+  std::promise<void> Gate;
+  std::shared_future<void> Open;
+  std::deque<std::atomic<int>> States;
+  std::vector<std::thread> Helpers;
+  size_t OnWorkers = 0;
+  bool Released = false;
 };
 
 } // namespace
@@ -234,19 +297,13 @@ TEST(ServeCoalesce, ServerCoalescesQueuedWrites) {
   O.Workers = 1;
   Server Srv(S, O);
   // Hold the only worker in a query while I I I D I queue behind it.
-  std::promise<void> Started, Gate;
-  std::shared_future<void> Open(Gate.get_future());
-  ASSERT_TRUE(Srv.submitQuery([&Started, Open](auto &) {
-    Started.set_value();
-    Open.wait();
-  }));
-  Started.get_future().wait();
+  WorkerHold<Server> Hold(Srv, 1);
   ASSERT_TRUE(Srv.submitInsert(B1));
   ASSERT_TRUE(Srv.submitInsert(B2));
   ASSERT_TRUE(Srv.submitInsert(B3));
   ASSERT_TRUE(Srv.submitDelete(B2));
   ASSERT_TRUE(Srv.submitInsert(B4));
-  Gate.set_value();
+  Hold.release();
   Srv.drain();
 
   // One install per same-kind run: {B1 B2 B3}, {-B2}, {B4}.
@@ -439,8 +496,10 @@ TEST(ServeServer, OverloadShedsInsteadOfStalling) {
   O.WriteQueueCap = 1;
   SnapshotServer Server(Store, O);
 
-  // Saturate the single worker with slow queries; the bounded queue
-  // must shed the excess synchronously (no blocking, no collapse).
+  // Saturate the single worker: hold it, then offer slow queries. A busy
+  // worker keeps them off the caller slot, so the bounded queue must
+  // shed the excess synchronously (no blocking, no collapse).
+  WorkerHold<SnapshotServer> Hold(Server, 1);
   std::atomic<int> Running{0};
   size_t Accepted = 0, Shed = 0;
   for (int I = 0; I < 64; ++I) {
@@ -451,18 +510,21 @@ TEST(ServeServer, OverloadShedsInsteadOfStalling) {
     Ok ? ++Accepted : ++Shed;
   }
   EXPECT_GT(Shed, 0u);
+  EXPECT_EQ(Running.load(), 0); // none ran on this thread
+  Hold.release();
   Server.drain();
   auto St = Server.stats();
-  EXPECT_EQ(St.QueriesDone, Accepted);
+  EXPECT_EQ(St.QueriesDone, Accepted + Hold.queries());
   EXPECT_EQ(St.Admission.ShedReads, Shed);
   EXPECT_EQ(size_t(Running.load()), Accepted);
   Server.stop();
 }
 
 TEST(ServeServer, WarmWorkerQueriesAreAllocationFree) {
-  // The worker's own context caches every BFS workspace block after the
-  // first query, so later queries miss nothing (perfbench reports the
-  // same quantity as memory.ctx_misses).
+  // A query runs on the worker's own context or, at an idle server, on
+  // the caller slot's. Each context caches every BFS workspace block
+  // after its first query, so later queries on it miss nothing (perfbench
+  // reports the same quantity as memory.ctx_misses).
   const VertexId N = 1 << 10;
   HybridShardedGraphStore Store(2, N, randomBatch(N, 4000, 3));
   SnapshotServer::Options O;
@@ -470,21 +532,31 @@ TEST(ServeServer, WarmWorkerQueriesAreAllocationFree) {
   SnapshotServer Server(Store, O);
 
   const size_t Queries = 8;
+  const std::thread::id Me = std::this_thread::get_id();
   std::vector<uint64_t> Misses(Queries);
+  std::vector<bool> OnCaller(Queries);
   std::vector<std::vector<VertexId>> Parents(Queries);
   for (size_t I = 0; I < Queries; ++I) {
     ASSERT_TRUE(Server.submitQuery([&, I](auto &QC) {
+      OnCaller[I] = std::this_thread::get_id() == Me;
       uint64_t M0 = QC.ctx().missCount();
       Parents[I] = bfs(QC.flat()->view(), 0, QC.ctx());
       Misses[I] = QC.ctx().missCount() - M0;
     }));
     Server.drain();
   }
-  EXPECT_GT(Misses[0], 0u); // cold: the first query fills the context
-  for (size_t I = 1; I < Queries; ++I) {
-    EXPECT_EQ(Misses[I], 0u) << "query " << I;
+  bool Used[2] = {false, false}; // worker context, caller context
+  for (size_t I = 0; I < Queries; ++I) {
+    bool &First = Used[OnCaller[I]];
+    if (!First) // cold: the first query on a context fills it
+      EXPECT_GT(Misses[I], 0u) << "query " << I;
+    else
+      EXPECT_EQ(Misses[I], 0u) << "query " << I;
+    First = true;
     EXPECT_EQ(Parents[I].size(), Parents[0].size());
   }
+  EXPECT_EQ(Server.stats().CallerReads,
+            size_t(std::count(OnCaller.begin(), OnCaller.end(), true)));
   EXPECT_EQ(Server.stats().QueryErrors, 0u);
   EXPECT_EQ(Server.stats().SessionWaits, 0u);
   Server.stop();
@@ -497,23 +569,18 @@ TEST(ServeServer, EpochLagIsSampledAtDequeue) {
   O.Workers = 2;
   SnapshotServer Server(Store, O);
 
-  // The query is admitted and dequeued at batch sequence 0, then blocks
-  // while the other worker installs a batch: that install happens during
-  // its execution, not while it queued, so it adds no lag.
-  std::promise<void> Started, Gate;
-  std::shared_future<void> Open(Gate.get_future());
-  ASSERT_TRUE(Server.submitQuery([&Started, Open](auto &) {
-    Started.set_value();
-    Open.wait();
-  }));
-  Started.get_future().wait();
+  // A query is admitted and dequeued by one worker at batch sequence 0,
+  // then blocks while the other worker installs a batch: that install
+  // happens during its execution, not while it queued, so it adds no lag.
+  WorkerHold<SnapshotServer> Hold(Server, 1);
   ASSERT_TRUE(Server.submitInsert(randomBatch(N, 16, 7)));
   while (Store.batchSeq() == 0)
     std::this_thread::yield();
-  Gate.set_value();
+  Hold.release();
   Server.drain();
   auto St = Server.stats();
-  EXPECT_EQ(St.QueriesDone, 1u);
+  EXPECT_EQ(St.QueriesDone, Hold.queries());
+  EXPECT_EQ(St.QueriesDone - St.CallerReads, 1u); // one ran on a worker
   EXPECT_EQ(St.EpochLagSum, 0u);
   EXPECT_EQ(St.EpochLagMax, 0u);
   Server.stop();
@@ -558,18 +625,12 @@ TEST(ServeServer, FailedGroupInstallReleasesWriteClass) {
   Server Srv(Store, O);
   // Queue I I I D behind a held worker; the first group's WAL append
   // crashes, so its install throws.
-  std::promise<void> Started, Gate;
-  std::shared_future<void> Open(Gate.get_future());
-  ASSERT_TRUE(Srv.submitQuery([&Started, Open](auto &) {
-    Started.set_value();
-    Open.wait();
-  }));
-  Started.get_future().wait();
+  WorkerHold<Server> Hold(Srv, 1);
   for (uint64_t I = 0; I < 3; ++I)
     ASSERT_TRUE(Srv.submitInsert(randomBatch(N, 16, 40 + I)));
   ASSERT_TRUE(Srv.submitDelete(randomBatch(N, 16, 40)));
   FailpointGuard G("wal.enqueue.before", FailAction::crash());
-  Gate.set_value();
+  Hold.release();
   Srv.drain();
   // Every batch of the failed group counts as an error and finishes, and
   // the delete group is still taken afterwards.
@@ -738,6 +799,331 @@ TEST(ServeServer, DrainIsExactWhileRequestsShed) {
   EXPECT_EQ(St.QueriesDone + St.WritesDone, Admitted.load());
   EXPECT_EQ(St.Admission.ShedReads + St.Admission.ShedWrites, Shed.load());
   Server.stop();
+}
+
+//===----------------------------------------------------------------------===
+// Caller-run reads: a read submitted to an idle server runs on the
+// submitting thread.
+//===----------------------------------------------------------------------===
+
+namespace {
+
+/// A store whose applySpans() (the server's only install call) can be
+/// held at its entry, so a test controls when a worker holds a write
+/// group.
+template <class Base> class GatedStore : public Base {
+public:
+  using Base::Base;
+
+  uint64_t applySpans(const EdgeSpan *Spans, size_t N, bool Insert) {
+    if (Armed.exchange(false)) {
+      Entered.store(true);
+      Open.wait();
+    }
+    return Base::applySpans(Spans, N, Insert);
+  }
+
+  /// Hold the next install at its entry until open() is called.
+  void arm() { Armed.store(true); }
+  bool entered() const { return Entered.load(); }
+  void open() { Gate.set_value(); }
+
+private:
+  std::atomic<bool> Armed{false}, Entered{false};
+  std::promise<void> Gate;
+  std::shared_future<void> Open{Gate.get_future().share()};
+};
+
+/// Submit reads from this thread, each after an idle gap far past the
+/// spin window (so every worker parks), until one runs on this thread.
+/// Every read runs \p Body(QC, OnCaller). Returns how many reads were
+/// submitted; 0 if none ran on this thread within 10 s.
+template <class Server, class Fn> size_t submitUntilOnCaller(Server &Srv,
+                                                             Fn Body) {
+  const std::thread::id Me = std::this_thread::get_id();
+  const auto Deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (size_t N = 1; std::chrono::steady_clock::now() < Deadline; ++N) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    std::atomic<int> Where{0}; // 1 = this thread, 2 = a worker
+    EXPECT_TRUE(Srv.submitQuery([&](auto &QC) {
+      bool OnCaller = std::this_thread::get_id() == Me;
+      Where.store(OnCaller ? 1 : 2);
+      Body(QC, OnCaller);
+    }));
+    int AtReturn = Where.load();
+    Srv.drain(); // a worker's writes in Body are visible after this
+    if (Where.load() == 1) {
+      EXPECT_EQ(AtReturn, 1); // it ran before submitQuery returned
+      return N;
+    }
+  }
+  ADD_FAILURE() << "no read ran on the submitting thread";
+  return 0;
+}
+
+} // namespace
+
+template <class Store> class ServeCallerRead : public ::testing::Test {};
+using CallerReadStores =
+    ::testing::Types<ShardedGraphStore, HybridShardedGraphStore>;
+TYPED_TEST_SUITE(ServeCallerRead, CallerReadStores);
+
+TYPED_TEST(ServeCallerRead, IdleServerRunsReadOnSubmittingThread) {
+  using Server = SnapshotServerT<TypeParam>;
+  const VertexId N = 512;
+  TypeParam Store(2, N, randomBatch(N, 2000, 51));
+  typename Server::Options O;
+  O.Workers = 2;
+  Server Srv(Store, O);
+  uint64_t Edges = 0;
+  size_t Reads = submitUntilOnCaller(Srv, [&](auto &QC, bool OnCaller) {
+    if (OnCaller)
+      Edges = QC.flat()->NumEdges;
+  });
+  ASSERT_GT(Reads, 0u);
+  EXPECT_EQ(Edges, Store.acquire().numEdges());
+  auto St = Srv.stats();
+  EXPECT_EQ(St.QueriesDone, Reads);
+  EXPECT_EQ(St.Admission.AdmittedReads, Reads);
+  EXPECT_EQ(St.CallerReads, 1u);
+  EXPECT_EQ(St.QueryErrors, 0u);
+  EXPECT_EQ(St.EpochLagMax, 0u);
+  Srv.stop();
+}
+
+TYPED_TEST(ServeCallerRead, ReadBehindHeldWriteGroupIsQueued) {
+  using Gated = GatedStore<TypeParam>;
+  using Server = SnapshotServerT<Gated>;
+  const VertexId N = 512;
+  Gated Store(2, N);
+  typename Server::Options O;
+  O.Workers = 2;
+  Server Srv(Store, O);
+  // One worker holds a write group; the other is idle, so the read is
+  // not run here but queued, and that worker serves it.
+  Store.arm();
+  ASSERT_TRUE(Srv.submitInsert(randomBatch(N, 16, 52)));
+  while (!Store.entered())
+    std::this_thread::yield();
+  const std::thread::id Me = std::this_thread::get_id();
+  std::atomic<int> Ran{0}; // 1 = here, 2 = on a worker
+  ASSERT_TRUE(Srv.submitQuery([&](auto &) {
+    Ran.store(std::this_thread::get_id() == Me ? 1 : 2);
+  }));
+  EXPECT_NE(Ran.load(), 1);
+  while (Ran.load() == 0)
+    std::this_thread::yield();
+  EXPECT_EQ(Ran.load(), 2);
+  EXPECT_EQ(Store.batchSeq(), 0u); // the group is still held
+  Store.open();
+  Srv.drain();
+  auto St = Srv.stats();
+  EXPECT_EQ(St.CallerReads, 0u);
+  EXPECT_EQ(St.QueriesDone, 1u);
+  EXPECT_EQ(St.WritesDone, 1u);
+  EXPECT_EQ(Store.batchSeq(), 1u);
+  Srv.stop();
+}
+
+TYPED_TEST(ServeCallerRead, ReadAfterAckSeesThatEpoch) {
+  using Server = SnapshotServerT<TypeParam>;
+  const VertexId N = 512;
+  TypeParam Store(2, N, randomBatch(N, 2000, 53));
+  (void)Store.acquireFlat(); // live: every install's writer refreshes it
+  typename Server::Options O;
+  O.Workers = 2;
+  Server Srv(Store, O);
+  uint64_t Stale = 0, Mismatched = 0;
+  for (uint64_t K = 1; K <= 4; ++K) {
+    ASSERT_TRUE(Srv.submitInsert(randomBatch(N, 40, 60 + K)));
+    while (Store.batchSeq() < K) // the acknowledgement
+      std::this_thread::yield();
+    ASSERT_GT(submitUntilOnCaller(Srv,
+                                  [&](auto &QC, bool) {
+                                    const auto &R = QC.snapshot();
+                                    const auto &F = QC.flat();
+                                    Stale += R.batchSeq() < K;
+                                    Stale += F->BatchSeq < K;
+                                    Mismatched +=
+                                        F->BatchSeq == R.batchSeq() &&
+                                        F->NumEdges != R.numEdges();
+                                  }),
+              0u);
+  }
+  EXPECT_EQ(Stale, 0u);
+  EXPECT_EQ(Mismatched, 0u);
+  EXPECT_EQ(Srv.stats().CallerReads, 4u);
+  Srv.stop();
+}
+
+TYPED_TEST(ServeCallerRead, SubmitAfterStopRunsNothing) {
+  using Server = SnapshotServerT<TypeParam>;
+  const VertexId N = 256;
+  TypeParam Store(2, N);
+  typename Server::Options O;
+  O.Workers = 2;
+  Server Srv(Store, O);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  Srv.stop();
+  bool Ran = false;
+  EXPECT_FALSE(Srv.submitQuery([&](auto &) { Ran = true; }));
+  EXPECT_FALSE(Ran);
+  Srv.drain(); // nothing in flight
+  auto St = Srv.stats();
+  EXPECT_EQ(St.QueriesDone, 0u);
+  EXPECT_EQ(St.CallerReads, 0u);
+  EXPECT_EQ(St.Admission.AdmittedReads, 0u);
+}
+
+TYPED_TEST(ServeCallerRead, ThrowingCallerReadCountsAndFreesSlot) {
+  using Server = SnapshotServerT<TypeParam>;
+  const VertexId N = 256;
+  TypeParam Store(2, N);
+  typename Server::Options O;
+  O.Workers = 2;
+  Server Srv(Store, O);
+  size_t First = submitUntilOnCaller(Srv, [](auto &, bool OnCaller) {
+    if (OnCaller)
+      throw std::runtime_error("query failed");
+  });
+  ASSERT_GT(First, 0u);
+  auto St = Srv.stats();
+  EXPECT_EQ(St.QueryErrors, 1u);
+  EXPECT_EQ(St.CallerReads, 1u);
+  EXPECT_EQ(St.QueriesDone, First);
+  // The slot was given back: a later read runs on the caller again.
+  size_t Second = submitUntilOnCaller(Srv, [](auto &, bool) {});
+  ASSERT_GT(Second, 0u);
+  St = Srv.stats();
+  EXPECT_EQ(St.QueryErrors, 1u);
+  EXPECT_EQ(St.CallerReads, 2u);
+  EXPECT_EQ(St.QueriesDone, First + Second);
+  Srv.stop();
+}
+
+TYPED_TEST(ServeCallerRead, OneCallerReadAtATime) {
+  using Server = SnapshotServerT<TypeParam>;
+  const VertexId N = 256;
+  TypeParam Store(2, N);
+  typename Server::Options O;
+  O.Workers = 2;
+  Server Srv(Store, O);
+
+  // Deterministic: while one thread's read holds the caller slot, another
+  // thread's reads are queued to the workers.
+  std::promise<void> Gate;
+  std::shared_future<void> Open(Gate.get_future());
+  std::atomic<bool> Holding{false};
+  std::thread Holder([&] {
+    submitUntilOnCaller(Srv, [&](auto &, bool OnCaller) {
+      if (OnCaller) {
+        Holding.store(true);
+        Open.wait();
+      }
+    });
+  });
+  while (!Holding.load())
+    std::this_thread::yield();
+  const std::thread::id Me = std::this_thread::get_id();
+  std::atomic<int> Here{0}, Done{0};
+  for (int I = 0; I < 8; ++I) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_TRUE(Srv.submitQuery([&](auto &) {
+      Here += std::this_thread::get_id() == Me;
+      ++Done;
+    }));
+  }
+  while (Done.load() < 8)
+    std::this_thread::yield();
+  EXPECT_EQ(Here.load(), 0);
+  Gate.set_value();
+  Holder.join();
+  Srv.drain();
+  uint64_t CallerBefore = Srv.stats().CallerReads;
+  EXPECT_EQ(CallerBefore, 1u);
+
+  // Stress: four submitters with idle gaps either side of the spin
+  // window; at most one read runs on a caller at a time, and at most
+  // Workers + 1 reads run at once.
+  std::atomic<int> OnCallerNow{0}, MaxOnCaller{0}, RunningNow{0},
+      MaxRunning{0};
+  std::atomic<uint64_t> CallerRuns{0};
+  auto Raise = [](std::atomic<int> &Max, int V) {
+    int Prev = Max.load();
+    while (V > Prev && !Max.compare_exchange_weak(Prev, V))
+      ;
+  };
+  std::vector<std::thread> Ts;
+  for (int P = 0; P < 4; ++P)
+    Ts.emplace_back([&, P] {
+      const std::thread::id Self = std::this_thread::get_id();
+      uint64_t X = 0x9E3779B97F4A7C15ull * (P + 1);
+      for (int I = 0; I < 40; ++I) {
+        X ^= X << 13;
+        X ^= X >> 7;
+        X ^= X << 17;
+        pauseFor(std::chrono::microseconds(X % 1500));
+        EXPECT_TRUE(Srv.submitQuery([&](auto &) {
+          bool Mine = std::this_thread::get_id() == Self;
+          Raise(MaxRunning, ++RunningNow);
+          if (Mine) {
+            Raise(MaxOnCaller, ++OnCallerNow);
+            ++CallerRuns;
+          }
+          pauseFor(std::chrono::microseconds(200));
+          if (Mine)
+            --OnCallerNow;
+          --RunningNow;
+        }));
+      }
+    });
+  for (auto &T : Ts)
+    T.join();
+  Srv.drain();
+  EXPECT_LE(MaxOnCaller.load(), 1);
+  EXPECT_LE(MaxRunning.load(), int(O.Workers) + 1);
+  auto St = Srv.stats();
+  EXPECT_EQ(St.CallerReads - CallerBefore, CallerRuns.load());
+  EXPECT_EQ(St.QueriesDone, St.Admission.AdmittedReads);
+  Srv.stop();
+}
+
+TYPED_TEST(ServeCallerRead, DrainWaitsForCallerRead) {
+  using Server = SnapshotServerT<TypeParam>;
+  const VertexId N = 256;
+  TypeParam Store(2, N);
+  typename Server::Options O;
+  O.Workers = 2;
+  Server Srv(Store, O);
+  std::promise<void> Gate;
+  std::shared_future<void> Open(Gate.get_future());
+  std::atomic<bool> Holding{false}, Finished{false};
+  std::thread Caller([&] {
+    submitUntilOnCaller(Srv, [&](auto &, bool OnCaller) {
+      if (OnCaller) {
+        Holding.store(true);
+        Open.wait();
+        Finished.store(true);
+      }
+    });
+  });
+  while (!Holding.load())
+    std::this_thread::yield();
+  std::atomic<bool> Drained{false};
+  std::thread Drainer([&] {
+    Srv.drain();
+    EXPECT_TRUE(Finished.load());
+    Drained.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(Drained.load());
+  Gate.set_value();
+  Drainer.join();
+  Caller.join();
+  EXPECT_TRUE(Drained.load());
+  EXPECT_EQ(Srv.stats().CallerReads, 1u);
+  Srv.stop();
 }
 
 //===----------------------------------------------------------------------===
