@@ -22,6 +22,14 @@
 // parallel unionBC/diffBC group routing, the work-weighted pam forks, and
 // the parallel mergeShard group builds (DESIGN.md §5).
 //
+// The hub rows grow one vertex of the base graph past degree 60K by
+// 20-edge batches, on the C-tree graph and on the hybrid graph, and
+// report the p50/p90 batch time over the last 500 batches: the cost of a
+// small batch into a high-degree vertex, which should depend on the
+// chunks the batch touches, not on the degree (DESIGN.md §6). They run in
+// sequential mode: a 20-edge batch has no parallel work, and at several
+// workers the fork overhead of the merge would hide the edge-set cost.
+//
 //   -json <path>    write every metric as flat JSON (BENCH_batch_updates.json)
 //   -compare <path> annotate rows with before/after ratios vs a prior file
 //
@@ -51,6 +59,31 @@ std::vector<EdgePair> hotVertexBatch(VertexId Hot, size_t K, VertexId N,
   for (size_t I = 0; I < K; ++I)
     Out[I] = {Hot, VertexId(hashAt(Seed, I) % N)};
   return Out;
+}
+
+/// Grow vertex \p Hub of \p Base to degree > \p Target by 20-edge
+/// batches of new neighbors; return the batch times of the last
+/// \p Tail batches (seconds).
+template <class G>
+std::vector<double> hubInsertTimes(G Base, VertexId Hub, uint64_t Target,
+                                   size_t Tail) {
+  const size_t K = 20;
+  VertexId N = Base.numVertices();
+  size_t Batches = size_t(Target / K) + 1;
+  std::vector<double> Times;
+  std::vector<EdgePair> Batch(K);
+  for (size_t B = 0; B < Batches; ++B) {
+    // Odd stride mod 2^k visits each destination once: every edge is new
+    // unless the base graph already holds it.
+    for (size_t I = 0; I < K; ++I)
+      Batch[I] = {Hub, VertexId((uint64_t(B * K + I) * 40503 + 1) % N)};
+    Timer T;
+    Base = Base.insertEdges(Batch);
+    double Dt = T.elapsed();
+    if (B + Tail >= Batches)
+      Times.push_back(Dt);
+  }
+  return Times;
 }
 
 } // namespace
@@ -181,6 +214,33 @@ int main(int Argc, char **Argv) {
     reportRow("skewed/oneshard/update_par_eps", Edges / ParT, "edges/s");
     reportRow("skewed/oneshard/update_seq_eps", Edges / SeqT, "edges/s");
     reportRow("skewed/oneshard/update_speedup", SeqT / ParT, "x");
+  }
+
+  //===------------------------------------------------------------------===
+  // Small batches into one growing hub, C-tree vs hybrid edge sets.
+  //===------------------------------------------------------------------===
+
+  {
+    const VertexId Hub = 3;
+    uint64_t Target = std::min<uint64_t>(60000, In.N - 1);
+    std::printf("\n== skewed ingest, sequential: 20-edge batches into one "
+                "vertex growing to degree %llu (p50/p90 over the last "
+                "500) ==\n",
+                (unsigned long long)Target);
+    HybridGraph BaseH = HybridGraph::fromEdges(In.N, In.Edges);
+    auto Row = [&](const char *Rep, std::vector<double> Times) {
+      std::string Scope = std::string("skewed/hub/") + Rep;
+      double P50 = percentile(Times, 0.5), P90 = percentile(Times, 0.9);
+      recordMetric(Scope + "/insert20_p50_s", P50);
+      recordMetric(Scope + "/insert20_p90_s", P90);
+      std::printf("  %-40s %12s %12s%s\n", Scope.c_str(),
+                  fmtTime(P50).c_str(), fmtTime(P90).c_str(),
+                  compareSuffix(Scope + "/insert20_p50_s", P50).c_str());
+    };
+    setSequentialMode(true);
+    Row("ctree", hubInsertTimes(Base, Hub, Target, 500));
+    Row("hybrid", hubInsertTimes(BaseH, Hub, Target, 500));
+    setSequentialMode(false);
   }
 
   finishMetricTrail(CL);

@@ -58,10 +58,17 @@ void *operator new(std::size_t N) {
   throw std::bad_alloc();
 }
 void *operator new[](std::size_t N) { return ::operator new(N); }
-void operator delete(void *P) noexcept { std::free(P); }
-void operator delete[](void *P) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t) noexcept { std::free(P); }
-void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
+// Every delete form funnels into one out-of-line unsized delete: inlined
+// into a caller, free() would meet a pointer the compiler knows came from
+// operator new, and g++ reports -Wmismatched-new-delete.
+__attribute__((noinline)) void operator delete(void *P) noexcept {
+  std::free(P);
+}
+void operator delete[](void *P) noexcept { ::operator delete(P); }
+void operator delete(void *P, std::size_t) noexcept { ::operator delete(P); }
+void operator delete[](void *P, std::size_t) noexcept {
+  ::operator delete(P);
+}
 
 using namespace aspen;
 
@@ -501,11 +508,9 @@ void runMergePatterns(size_t Count, size_t Pairs, int Rounds) {
 
 //===----------------------------------------------------------------------===
 // containsEdge probes per hybrid degree class (graph/hybrid_set.h):
-// inline (in-node array scan), chunked (tree descent + chunk decode
-// scan), hot (tree + hash sidecar, O(1)). The hot row is reported twice:
-// through the sidecar probe and through the same set's underlying C-tree
-// scan (findLE + chunkContains), which is what a hot-degree membership
-// test costs without the sidecar.
+// inline (in-node array scan) and chunked (tree descent + chunk decode
+// scan). Each row is reported twice: through the hybrid set and through
+// a plain C-tree over the same elements (findLE + chunkContains).
 //===----------------------------------------------------------------------===
 
 void runHybridProbes(size_t Sets, int Rounds) {
@@ -514,13 +519,12 @@ void runHybridProbes(size_t Sets, int Rounds) {
     const char *Name;
     size_t Degree;
   };
-  // Degrees relative to the default HybridParams thresholds
-  // (InlineMax = 8, b = 128, HotMin = 4096).
-  const ClassSpec Classes[] = {
-      {"inline", 8}, {"chunked", 512}, {"hot", 8192}};
-  HybridParams HP; // defaults: LogB 7, InlineMax 8, HotMin 4096
+  // Degrees relative to the inline capacity (8) and the default chunk
+  // size (b = 128).
+  const ClassSpec Classes[] = {{"inline", 8}, {"chunked", 512}};
+  HybridParams HP; // defaults: LogB 7
   std::printf("\nhybrid containsEdge probes, %zu sets/class, degrees "
-              "8/512/8192 (b=128):\n",
+              "8/512 (b=128):\n",
               Sets);
   for (const ClassSpec &CS : Classes) {
     std::vector<HSet> Hs(Sets);

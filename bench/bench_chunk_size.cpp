@@ -79,15 +79,13 @@ int main(int Argc, char **Argv) {
   std::printf("\n(the paper selects b = 2^8 as the best tradeoff)\n");
 
   //===--------------------------------------------------------------------===
-  // Hub-forming power-law input for the hybrid comparison: the hot class
-  // only exists when some vertices accumulate thousands of *distinct*
-  // neighbors, so the source side is skewed hard toward high ids
-  // (a+b = 0.2) while the destination side stays near-uniform
-  // (a+c = 0.5) — a symmetric-parameter rMAT collapses hub edges into
-  // duplicates and never grows a 4096-degree adjacency. High-id hubs
-  // also put the hot vertices on the scanned side of the ordered
-  // triangle-count intersection (v > u), where the sidecar probe
-  // replaces an O(deg) prefix scan.
+  // Hub-forming power-law input for the hybrid comparison: some vertices
+  // accumulate thousands of *distinct* neighbors, so the source side is
+  // skewed hard toward high ids (a+b = 0.2) while the destination side
+  // stays near-uniform (a+c = 0.5) — a symmetric-parameter rMAT collapses
+  // hub edges into duplicates and never grows a 4096-degree adjacency.
+  // High-id hubs also put the hubs on the scanned side of the ordered
+  // triangle-count intersection (v > u).
   //===--------------------------------------------------------------------===
 
   int HubLogN = C.LogN > 2 ? C.LogN - 2 : C.LogN;
@@ -102,36 +100,29 @@ int main(int Argc, char **Argv) {
   for (const EdgePair &E : HubEdges)
     if (E.first < HubN)
       ++Degrees[E.first];
-  uint64_t NInline = 0, NChunked = 0, NHot = 0;
+  uint64_t NInline = 0, NChunked = 0;
   for (uint32_t D : Degrees) {
-    if (D <= HP.InlineMax)
+    if (D <= HybridInlineCap)
       ++NInline;
-    else if (D < HP.HotMin)
-      ++NChunked;
     else
-      ++NHot;
+      ++NChunked;
   }
   printHeader("autotuned hybrid parameters (per degree class)");
   std::printf("  input: rmat-hub-%d (n=%u, m=%zu, skew 0.05/0.15/0.45)\n",
               HubLogN, HubN, HubEdges.size());
   std::printf("  %-8s %-24s %12s\n", "class", "parameter", "vertices");
   std::printf("  %-8s degree <= %-14u %12llu\n", "inline",
-              unsigned(HP.InlineMax), (unsigned long long)NInline);
+              unsigned(HybridInlineCap), (unsigned long long)NInline);
   std::printf("  %-8s b = 2^%-17u %12llu\n", "chunked",
               unsigned(HP.LogB), (unsigned long long)NChunked);
-  std::printf("  %-8s degree >= %-14u %12llu\n", "hot", HP.HotMin,
-              (unsigned long long)NHot);
-  reportMetric("autotune/inline_max", double(HP.InlineMax));
   reportMetric("autotune/logb", double(HP.LogB));
-  reportMetric("autotune/hot_min", double(HP.HotMin));
   reportMetric("autotune/class_inline_vertices", double(NInline));
   reportMetric("autotune/class_chunked_vertices", double(NChunked));
-  reportMetric("autotune/class_hot_vertices", double(NHot));
 
   //===--------------------------------------------------------------------===
   // Hybrid vs pure-chunked end to end at the autotuned parameters: memory
-  // and triangleCount (adjacency intersections turn into O(1) sidecar
-  // probes on hot vertices).
+  // and triangleCount. Both run the same merge intersections; the hybrid
+  // differs only by keeping degree <= 8 adjacencies inline.
   //===--------------------------------------------------------------------===
 
   printHeader("hybrid vs chunked (autotuned parameters)");

@@ -23,8 +23,11 @@
 //                           a time (at an idle server it runs on the
 //                           submitting thread), write_gap_* submit ->
 //                           publish of a 1-edge insert (always a worker's
-//                           wake); and the idle server's CPU share once
-//                           traffic stops (its poller parks)
+//                           wake); each series starts with one
+//                           acknowledged write, and gap_*/caller_frac is
+//                           the share of its reads that ran on the
+//                           submitting thread; and the idle server's CPU
+//                           share once traffic stops (its poller parks)
 //
 //   -json <path>    write every metric as flat JSON (BENCH_serving.json)
 //   -compare <path> annotate rows with before/after ratios vs a prior file
@@ -392,11 +395,34 @@ void benchHandoff(const BenchConfig &C) {
                       {"200us", std::chrono::microseconds(200), 1000},
                       {"2ms", std::chrono::microseconds(2000), 200},
                       {"20ms", std::chrono::microseconds(20000), 100}};
+  // A write always goes through the queue, so it shows the wake a read
+  // no longer pays: inside the spin window the poller takes it, past it
+  // a parked worker is woken. The wait includes the 1-edge install.
+  uint64_t Edge = 0;
+  auto WriteOnce = [&] {
+    uint64_t H = hash64(++Edge);
+    EdgePair E{VertexId(H % N), VertexId((H >> 32) % N)};
+    uint64_t Seq = S.batchSeq() + 1;
+    Timer WT;
+    while (!Server->submitInsert({E}))
+      std::this_thread::yield();
+    while (S.batchSeq() < Seq)
+      std::this_thread::yield();
+    return WT.elapsed();
+  };
+
   // One request at a time after each gap; Once() submits one and returns
   // its wait. The client polls through the gap, as the end-to-end
   // benchmark's generator does, so only the server's handoff is measured.
-  auto Sweep = [&](const char *Prefix, auto Once) {
+  // Each series starts from the same state, a worker inside its spin
+  // window after an acknowledged write: once both workers have parked,
+  // short-gap reads would run on the caller and never wake them, and
+  // the series would time the state it began in. A read series reports
+  // which path it timed as caller_frac.
+  auto Sweep = [&](const char *Prefix, bool Reads, auto Once) {
     for (const Gap &G : Gaps) {
+      WriteOnce();
+      uint64_t Caller0 = Server->stats().CallerReads;
       std::vector<double> Wait;
       Wait.reserve(G.Samples);
       for (size_t I = 0; I < G.Samples; ++I) {
@@ -408,28 +434,19 @@ void benchHandoff(const BenchConfig &C) {
       std::string P = std::string("serve/handoff/") + Prefix + G.Name;
       reportTime(P + "/wait_p50_s", percentile(Wait, 0.50));
       reportTime(P + "/wait_p99_s", percentile(Wait, 0.99));
+      if (Reads)
+        reportValue(P + "/caller_frac",
+                    double(Server->stats().CallerReads - Caller0) /
+                        double(G.Samples),
+                    "of reads");
     }
   };
 
-  // A write always goes through the queue, so it shows the wake a read
-  // no longer pays: inside the spin window the poller takes it, past it
-  // a parked worker is woken. The wait includes the 1-edge install.
-  uint64_t Edge = 0;
-  Sweep("write_gap_", [&] {
-    uint64_t H = hash64(++Edge);
-    EdgePair E{VertexId(H % N), VertexId((H >> 32) % N)};
-    uint64_t Seq = S.batchSeq() + 1;
-    Timer WT;
-    while (!Server->submitInsert({E}))
-      std::this_thread::yield();
-    while (S.batchSeq() < Seq)
-      std::this_thread::yield();
-    return WT.elapsed();
-  });
+  Sweep("write_gap_", false, WriteOnce);
 
   // A read, submit -> start: on the caller slot once both workers have
   // parked, else on a worker.
-  Sweep("gap_", [&] {
+  Sweep("gap_", true, [&] {
     std::atomic<bool> Done{false};
     double Waited = 0;
     Timer QT;

@@ -4,7 +4,9 @@
 // u < v < w is counted once at its smallest vertex by intersecting the
 // higher-id neighborhoods of u and v. An extension algorithm showcasing
 // ordered edge-set iteration (the C-tree's sorted order makes the merge
-// intersection natural).
+// intersection natural). Every intersection is a merge scan on every
+// view: no edge set keeps a membership index that would make probing
+// N(v) cheaper than scanning it.
 //
 // Per-vertex adjacency staging happens inside parallel workers, so it
 // borrows from the per-worker scratch caches (context-less CtxArray) rather than a
@@ -26,19 +28,7 @@
 
 namespace aspen {
 
-/// Scan-vs-probe crossover: probing N(V) for one candidate costs about
-/// as much as decoding this many scanned neighbors, so the merge
-/// intersection switches to hash probes only when
-/// |candidates| * TriangleProbeCost < deg(V).
-inline constexpr uint64_t TriangleProbeCost = 8;
-
 /// Count triangles in a symmetric graph view.
-///
-/// Views exposing the edge-probe surface (HasContainsEdgeV) take an
-/// O(1)-membership fast path on hot vertices: when V keeps a hash
-/// sidecar and the candidate suffix of Au is small relative to deg(V),
-/// each candidate is probed against N(V) instead of merge-scanning the
-/// (possibly huge) neighborhood of V.
 template <class GView> uint64_t triangleCount(const GView &G) {
   VertexId N = G.numVertices();
   return reduce(
@@ -59,16 +49,6 @@ template <class GView> uint64_t triangleCount(const GView &G) {
           size_t Pos = VI + 1;
           if (Pos == AuN)
             break; // empty candidate suffix: nothing left to intersect
-          if constexpr (HasContainsEdgeV<GView>) {
-            uint64_t Cand = uint64_t(AuN - Pos);
-            if (G.hasFastProbe(V) &&
-                Cand * TriangleProbeCost < G.degree(V)) {
-              for (; Pos < AuN; ++Pos)
-                if (G.containsEdge(V, Au[Pos]))
-                  ++Local;
-              continue;
-            }
-          }
           // Merge-intersect Au (suffix > V) with N(V) (> V).
           G.iterNeighborsCond(V, [&](VertexId Wv) {
             if (Wv <= V)

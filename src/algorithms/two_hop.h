@@ -3,7 +3,8 @@
 // The paper's local 2-hop query (Section 7): the set of vertices within
 // two hops of a source. Local queries avoid O(n) scratch so that many can
 // run concurrently: candidates are gathered into a workspace buffer sized
-// by the 2-hop degree sum and deduplicated by sorting.
+// by the 2-hop degree sum and deduplicated by sorting. The point query
+// isWithinTwoHops scans with early exit and allocates nothing.
 //
 //===----------------------------------------------------------------------===//
 
@@ -66,33 +67,18 @@ template <class GView> size_t twoHopCount(const GView &G, VertexId Src) {
 }
 
 /// Is \p Target within two hops of \p Src (Src itself counts)? A local
-/// point query: direct adjacency first, then one middle hop. On views
-/// with the edge-probe surface (HasContainsEdgeV), hot middle vertices
-/// answer the second hop with an O(1) sidecar probe instead of scanning
-/// their (large, that is what made them hot) neighborhoods; other views
-/// fall back to the conditional scan.
+/// point query: one conditional scan of N(Src), and for each middle
+/// vertex a conditional scan of its neighborhood, both stopping at the
+/// first hit.
 template <class GView>
 bool isWithinTwoHops(const GView &G, VertexId Src, VertexId Target) {
   if (Src == Target)
     return true;
-  if constexpr (HasContainsEdgeV<GView>) {
-    if (G.hasFastProbe(Src) && G.containsEdge(Src, Target))
-      return true;
-  }
   bool Found = false;
   G.iterNeighborsCond(Src, [&](VertexId Mid) {
     if (Mid == Target) {
       Found = true;
       return false;
-    }
-    if constexpr (HasContainsEdgeV<GView>) {
-      if (G.hasFastProbe(Mid)) {
-        if (G.containsEdge(Mid, Target)) {
-          Found = true;
-          return false;
-        }
-        return true;
-      }
     }
     G.iterNeighborsCond(Mid, [&](VertexId W) {
       if (W == Target) {

@@ -56,7 +56,6 @@
 #include "encoding/varint_block.h"
 #include "memory/algo_context.h"
 #include "memory/pool_allocator.h"
-#include "util/hash.h"
 
 #include <algorithm>
 
@@ -1279,115 +1278,6 @@ public:
 private:
   ChunkPayload<K> *C = nullptr;
 };
-
-//===----------------------------------------------------------------------===
-// Hot-vertex hash sidecars. An EdgeSidecar is an immutable open-addressing
-// hash over a high-degree adjacency set, giving O(1) containsEdge probes
-// where a delta-chunk membership test costs an O(b) decode scan. Like
-// chunks, sidecars are refcounted and shared structurally across versions:
-// a functional update that leaves a hot vertex untouched shares the old
-// sidecar by reference; an update that changes the set rebuilds it (the
-// set algebra knows the post-merge degree, so rebuild happens exactly when
-// the adjacency changed). Linear probing at load factor <= 1/2; the all-
-// ones key is reserved as the empty-slot sentinel (it is NoVertex for
-// VertexId keys, which no edge targets).
-//===----------------------------------------------------------------------===
-
-template <class K> struct EdgeSidecar {
-  std::atomic<uint32_t> Ref; ///< shared across versions like chunks
-  uint32_t SlotMask;         ///< Slots - 1; slot count is a power of two
-  uint32_t Count;            ///< live keys (diagnostics/invariants)
-
-  static constexpr K EmptySlot = K(~K(0));
-
-  K *slots() { return reinterpret_cast<K *>(this + 1); }
-  const K *slots() const { return reinterpret_cast<const K *>(this + 1); }
-
-  static size_t totalBytes(uint32_t NumSlots) {
-    return sizeof(EdgeSidecar<K>) + size_t(NumSlots) * sizeof(K);
-  }
-};
-
-template <class K> void retainSidecar(EdgeSidecar<K> *S) {
-  if (S)
-    S->Ref.fetch_add(1, std::memory_order_relaxed);
-}
-
-template <class K> void releaseSidecar(EdgeSidecar<K> *S) {
-  if (!S)
-    return;
-  if (S->Ref.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    size_t Total = EdgeSidecar<K>::totalBytes(S->SlotMask + 1);
-    S->~EdgeSidecar<K>();
-    countedFree(S, Total);
-  }
-}
-
-template <class K> size_t sidecarBytes(const EdgeSidecar<K> *S) {
-  return S ? EdgeSidecar<K>::totalBytes(S->SlotMask + 1) : 0;
-}
-
-/// O(1) expected membership probe.
-template <class K> bool sidecarContains(const EdgeSidecar<K> *S, K X) {
-  if (!S || X == EdgeSidecar<K>::EmptySlot)
-    return false;
-  const K *Slots = S->slots();
-  uint32_t Mask = S->SlotMask;
-  for (uint32_t I = uint32_t(hash64(uint64_t(X))) & Mask;;
-       I = (I + 1) & Mask) {
-    K V = Slots[I];
-    if (V == X)
-      return true;
-    if (V == EdgeSidecar<K>::EmptySlot)
-      return false;
-  }
-}
-
-/// Build a sidecar over \p N elements produced by \p ForEach (any order,
-/// duplicate-free), with one reference owned by the caller. Returns
-/// nullptr when N == 0 or when the element stream contains the reserved
-/// sentinel key (callers then fall back to the chunk-scan probe).
-template <class K, class ForEach>
-EdgeSidecar<K> *buildSidecar(size_t N, const ForEach &Fn) {
-  if (N == 0)
-    return nullptr;
-  // Smallest power of two giving load factor <= 1/2.
-  uint32_t NumSlots = 2;
-  while (NumSlots < 2 * N)
-    NumSlots *= 2;
-  void *Mem = countedAlloc(EdgeSidecar<K>::totalBytes(NumSlots));
-  auto *S = new (Mem) EdgeSidecar<K>();
-  S->Ref.store(1, std::memory_order_relaxed);
-  S->SlotMask = NumSlots - 1;
-  S->Count = static_cast<uint32_t>(N);
-  K *Slots = S->slots();
-  std::fill(Slots, Slots + NumSlots, EdgeSidecar<K>::EmptySlot);
-  bool SawSentinel = false;
-  Fn([&](K V) {
-    if (V == EdgeSidecar<K>::EmptySlot) {
-      SawSentinel = true;
-      return;
-    }
-    uint32_t I = uint32_t(hash64(uint64_t(V))) & S->SlotMask;
-    while (Slots[I] != EdgeSidecar<K>::EmptySlot)
-      I = (I + 1) & S->SlotMask;
-    Slots[I] = V;
-  });
-  if (SawSentinel) {
-    releaseSidecar(S);
-    return nullptr;
-  }
-  return S;
-}
-
-/// Build a sidecar directly from a sorted span.
-template <class K>
-EdgeSidecar<K> *makeSidecar(const K *E, size_t N) {
-  return buildSidecar<K>(N, [&](auto Sink) {
-    for (size_t I = 0; I < N; ++I)
-      Sink(E[I]);
-  });
-}
 
 } // namespace aspen
 

@@ -220,10 +220,6 @@ public:
       return chunkContains<Codec>(N->Val.get(), X);
     }
 
-    /// No O(1) membership index on a plain C-tree view (the hybrid
-    /// representation's hot-vertex sidecars provide one).
-    bool hasFastProbe() const { return false; }
-
     /// Streaming in-order cursor over every element: composes the prefix
     /// chunk cursor, the heads-tree cursor, and per-head tail cursors.
     /// Nothing is materialized; the view must outlive the cursor.

@@ -112,8 +112,8 @@ inline void splitByShard(const EdgePair *Edges, size_t K, size_t S,
 /// FlatSnapshotT::refresh writes them into the pages it clones.
 ///
 /// Lifetime: the view points only at refcounted edge-set internals that
-/// every copy of the edge set shares (the C-tree root and prefix chunk,
-/// the hybrid sidecar), or holds inline edges by value. A slot recorded
+/// every copy of the edge set shares (the C-tree root and prefix chunk),
+/// or holds inline edges by value. A slot recorded
 /// when an epoch was built is therefore valid in every later epoch that
 /// did not touch its vertex, for as long as such an epoch is alive; a
 /// flat keeps its slots alive through its owner snapshot.
@@ -305,15 +305,9 @@ public:
     return Out;
   }
 
-  /// Edge-existence probe: O(1) on hot hybrid vertices (hash sidecar),
-  /// a chunk/tree membership test otherwise.
+  /// Edge-existence probe: membership of \p X in N(\p U).
   bool containsEdge(VertexId U, VertexId X) const {
     return edgesView(U).contains(X);
-  }
-
-  /// True when containsEdge(\p U, ...) probes are O(1).
-  bool hasFastProbe(VertexId U) const {
-    return edgesView(U).hasFastProbe();
   }
 
   Node *root() const { return Root; }
@@ -576,7 +570,7 @@ public:
                 "directory fanout must be a power of two");
 
   /// Slots per page: the power of two nearest PageBytes / slot bytes
-  /// (64 on the hybrid store's 68-byte slots, 256 on the C-tree store's
+  /// (64 on the hybrid store's 60-byte slots, 256 on the C-tree store's
   /// 20-byte slots at the default 4 KB).
   static constexpr size_t PageSlots = size_t(1) << detail::log2Nearest(
       std::max<size_t>(1, PageBytes / (sizeof(SetView) + sizeof(uint32_t))));
@@ -967,12 +961,10 @@ public:
     return owner(V).edgesView(V).iterCond(Fn);
   }
 
-  /// Edge-existence probe (O(1) on hot hybrid vertices).
+  /// Edge-existence probe: membership of \p X in N(\p U).
   bool containsEdge(VertexId U, VertexId X) const {
     return owner(U).containsEdge(U, X);
   }
-
-  bool hasFastProbe(VertexId U) const { return owner(U).hasFastProbe(U); }
 
 private:
   const Snapshot &owner(VertexId V) const { return Shards[size_t(V & Mask)]; }
@@ -1031,12 +1023,10 @@ public:
     return slotView(V).iterCond(Fn);
   }
 
-  /// Edge-existence probe (O(1) on hot hybrid vertices).
+  /// Edge-existence probe: membership of \p X in N(\p U).
   bool containsEdge(VertexId U, VertexId X) const {
     return slotView(U).contains(X);
   }
-
-  bool hasFastProbe(VertexId U) const { return slotView(U).hasFastProbe(); }
 
 private:
   SetView slotView(VertexId V) const {
@@ -1060,8 +1050,7 @@ using GraphNoDE = GraphSnapshotT<CTreeSet<VertexId, RawCodec>>;
 /// Plain purely-functional trees ("Aspen Uncomp.").
 using GraphUncompressed = GraphSnapshotT<UncompressedSet<VertexId>>;
 /// Degree-adaptive hybrid representation (graph/hybrid_set.h): inline
-/// small adjacencies, per-graph chunk size, hash sidecars on hot
-/// vertices.
+/// small adjacencies, C-trees with a per-graph chunk size above them.
 using HybridGraph = GraphSnapshotT<HybridEdgeSet>;
 
 using FlatSnapshot = FlatSnapshotT<CTreeSet<VertexId, DeltaByteCodec>>;

@@ -1,22 +1,17 @@
 //===- graph/hybrid_set.h - Degree-adaptive hybrid edge sets --------------===//
 //
 // A degree-adaptive edge-set representation: each vertex's adjacency is
-// stored in the class its degree earns, migrating between classes inside
-// the functional update path (the set algebra knows every post-merge
-// degree):
+// stored in the class its degree earns, migrating between the two classes
+// inside the functional update path (the set algebra knows every
+// post-merge degree):
 //
-//  * inline  (degree <= InlineMax): the sorted neighbor array lives
+//  * inline  (degree <= HybridInlineCap): the sorted neighbor array lives
 //    directly in the vertex-tree node value — no C-tree, no chunk header,
 //    no pointer chase. The long tail of a power-law graph lands here.
-//  * chunked (InlineMax < degree < HotMin): the delta-compressed C-tree,
-//    with the chunk size a per-set parameter (HybridParams::LogB) instead
-//    of the former process-global knob.
-//  * hot     (degree >= HotMin): the C-tree plus an immutable open-
-//    addressing hash sidecar (ctree/chunk.h) giving O(1) containsEdge
-//    probes where a chunk membership test pays an O(b) decode scan.
-//    Sidecars are refcount-shared across versions exactly like chunks:
-//    updates that leave a hot vertex untouched share the old sidecar,
-//    updates that change its adjacency rebuild it functionally.
+//  * chunked (degree > HybridInlineCap): the delta-compressed C-tree, with
+//    the chunk size a per-set parameter (HybridParams::LogB) instead of
+//    the former process-global knob. A batch into a high-degree vertex
+//    re-encodes only the chunks on its paths, as in the paper.
 //
 // The interface mirrors CTreeSet, so GraphSnapshotT, FlatSnapshotT, both
 // stores, and every algorithm behind the graph-view concept run on hybrid
@@ -25,7 +20,7 @@
 // valid across the page-sharing refresh path, where a vertex's tree node
 // may be replaced while its page is shared.
 //
-// Class thresholds come from HybridParams, either defaulted or chosen per
+// The chunk size comes from HybridParams, either defaulted or chosen per
 // graph by autotuneHybridParams from degree statistics (DESIGN.md §6).
 //
 //===----------------------------------------------------------------------===//
@@ -50,38 +45,28 @@ inline constexpr size_t HybridInlineCap = 8;
 /// copyable: every hybrid set carries its params, so the set algebra can
 /// reclassify results without out-of-band state.
 struct HybridParams {
-  uint8_t LogB = 7;       ///< chunked-class chunk size b = 1 << LogB
-  uint8_t InlineMax = 8;  ///< degree <= InlineMax: inline class
-  uint16_t Reserved = 0;
-  uint32_t HotMin = 4096; ///< degree >= HotMin: hash sidecar class
+  uint8_t LogB = 7; ///< chunked-class chunk size b = 1 << LogB
 
   uint64_t headMask() const { return (uint64_t(1) << LogB) - 1; }
 
   friend bool operator==(const HybridParams &A, const HybridParams &B) {
-    return A.LogB == B.LogB && A.InlineMax == B.InlineMax &&
-           A.HotMin == B.HotMin;
+    return A.LogB == B.LogB;
   }
   friend bool operator!=(const HybridParams &A, const HybridParams &B) {
     return !(A == B);
   }
 };
 
-/// Choose hybrid parameters from degree statistics:
-///  * InlineMax is the inline capacity — every vertex that fits, inlines.
-///  * b targets one chunk per average chunked-class vertex (one pointer
-///    chase per scan), clamped to [32, 512]: below 32 the per-chunk header
-///    overhead dominates, above 512 the O(b) re-encode on every touched
-///    chunk penalizes batch updates.
-///  * HotMin = 32 * b: a chunk-scan probe costs O(b), so the sidecar's
-///    O(1) probe and 2-slots-per-edge memory pay off once the adjacency
-///    spans tens of chunks (default b = 128 gives the familiar 4096).
+/// Choose hybrid parameters from degree statistics: b targets one chunk
+/// per average chunked-class vertex (one pointer chase per scan), clamped
+/// to [32, 512]. Below 32 the per-chunk header overhead dominates; above
+/// 512 the O(b) re-encode on every touched chunk penalizes batch updates.
 inline HybridParams autotuneHybridParams(const uint32_t *Degrees,
                                          size_t N) {
   HybridParams P;
-  P.InlineMax = uint8_t(HybridInlineCap);
   uint64_t ChunkedEdges = 0, ChunkedVertices = 0;
   for (size_t I = 0; I < N; ++I) {
-    if (Degrees[I] > P.InlineMax) {
+    if (Degrees[I] > HybridInlineCap) {
       ChunkedEdges += Degrees[I];
       ++ChunkedVertices;
     }
@@ -91,8 +76,6 @@ inline HybridParams autotuneHybridParams(const uint32_t *Degrees,
   while ((uint64_t(1) << LogB) < Avg && LogB < 9)
     ++LogB;
   P.LogB = LogB;
-  P.HotMin = uint32_t(std::min<uint64_t>(32 * (uint64_t(1) << LogB),
-                                         uint64_t(NoVertex) - 1));
   return P;
 }
 
@@ -107,7 +90,7 @@ inline HybridParams autotuneHybridParams(VertexId NumVertices,
 }
 
 /// Degree class of a hybrid set (diagnostics, benches, tests).
-enum class HybridClass { Inline, Chunked, Hot };
+enum class HybridClass { Inline, Chunked };
 
 template <class K, class Codec = DeltaByteCodec> class HybridEdgeSetT {
 public:
@@ -122,7 +105,7 @@ public:
   //===--------------------------------------------------------------------===
   // Value semantics. The representation is a tagged union managed
   // manually: tree-rep pointers carry refcounts (tree nodes, prefix
-  // chunk, sidecar), inline elements are plain values in the object.
+  // chunk), inline elements are plain values in the object.
   //===--------------------------------------------------------------------===
 
   HybridEdgeSetT() = default;
@@ -131,7 +114,6 @@ public:
     if (isTree()) {
       CT::retain(R.Tr.Root);
       retainChunk(R.Tr.Prefix);
-      retainSidecar(R.Tr.Side);
     }
   }
   HybridEdgeSetT(HybridEdgeSetT &&O) noexcept
@@ -161,7 +143,6 @@ public:
     if (isTree()) {
       CT::release(R.Tr.Root);
       releaseChunk(R.Tr.Prefix);
-      releaseSidecar(R.Tr.Side);
     }
     Tag = 0;
   }
@@ -176,15 +157,7 @@ public:
   HybridParams params() const { return P; }
 
   HybridClass degreeClass() const {
-    if (!isTree())
-      return HybridClass::Inline;
-    return R.Tr.Side ? HybridClass::Hot : HybridClass::Chunked;
-  }
-
-  /// The sidecar, or nullptr (tests assert refcount sharing across
-  /// versions).
-  const EdgeSidecar<K> *sidecar() const {
-    return isTree() ? R.Tr.Side : nullptr;
+    return isTree() ? HybridClass::Chunked : HybridClass::Inline;
   }
 
   //===--------------------------------------------------------------------===
@@ -196,14 +169,13 @@ public:
                                     BuildParams P = {}) {
     HybridEdgeSetT Out;
     Out.P = P;
-    if (N <= P.InlineMax && N <= InlineCap) {
+    if (N <= InlineCap) {
       std::copy(E, E + N, Out.R.Inline);
       Out.Tag = uint8_t(N);
       return Out;
     }
     CSet S = CSet::buildSorted(E, N, {P.headMask()});
-    EdgeSidecar<K> *Side = N >= P.HotMin ? makeSidecar(E, N) : nullptr;
-    Out.adoptTree(S, Side);
+    Out.adoptTree(S);
     return Out;
   }
 
@@ -223,7 +195,6 @@ public:
   struct View {
     const Node *Root = nullptr;
     const Payload *Prefix = nullptr;
-    const EdgeSidecar<K> *Side = nullptr;
     K InlineE[InlineCap] = {};
     uint8_t InlineN = 0;
     uint8_t IsTree = 0;
@@ -237,8 +208,8 @@ public:
     }
     bool empty() const { return size() == 0; }
 
-    /// Membership: O(1) on the inline array or through the sidecar,
-    /// O(b + log n) chunk scan otherwise.
+    /// Membership: a scan of the inline array, or the C-tree's
+    /// O(b + log n) head search and chunk scan.
     bool contains(K X) const {
       if (!IsTree) {
         for (uint8_t I = 0; I < InlineN; ++I)
@@ -246,13 +217,8 @@ public:
             return true;
         return false;
       }
-      if (Side)
-        return sidecarContains(Side, X);
       return tview().contains(X);
     }
-
-    /// True when membership probes are O(1) (hot-vertex sidecar).
-    bool hasFastProbe() const { return Side != nullptr; }
 
     /// Streaming in-order cursor. Self-contained like the view (inline
     /// elements copied), so it may outlive the temporary view it was
@@ -339,7 +305,6 @@ public:
       V.IsTree = 1;
       V.Root = R.Tr.Root;
       V.Prefix = R.Tr.Prefix;
-      V.Side = R.Tr.Side;
     } else {
       V.InlineN = Tag;
       std::copy(R.Inline, R.Inline + Tag, V.InlineE);
@@ -354,7 +319,6 @@ public:
   //===--------------------------------------------------------------------===
 
   bool contains(K X) const { return view().contains(X); }
-  bool hasFastProbe() const { return isTree() && R.Tr.Side; }
 
   template <class F> void forEachSeq(const F &Fn) const {
     view().forEachSeq(Fn);
@@ -371,11 +335,9 @@ public:
   std::vector<K> toVector() const { return view().toVector(); }
 
   /// Heap footprint beyond the in-node value: zero for the inline class
-  /// (that is the point), chunks + tree nodes + sidecar otherwise.
+  /// (that is the point), chunks + tree nodes otherwise.
   size_t memoryBytes() const {
-    if (!isTree())
-      return 0;
-    return borrowCSet().memoryBytes() + sidecarBytes(R.Tr.Side);
+    return isTree() ? borrowCSet().memoryBytes() : 0;
   }
 
   //===--------------------------------------------------------------------===
@@ -402,8 +364,7 @@ public:
   static HybridEdgeSetT setDifference(HybridEdgeSetT A, HybridEdgeSetT B) {
     HybridParams PU = mergedParams(A, B);
     if (!A.isTree()) {
-      // Keep A's elements not in B; membership on B is sidecar-
-      // accelerated when B is hot. Result can only stay inline.
+      // Keep A's elements not in B. Result can only stay inline.
       HybridEdgeSetT Out;
       Out.P = PU;
       View VB = B.view();
@@ -419,8 +380,7 @@ public:
   static HybridEdgeSetT setIntersect(HybridEdgeSetT A, HybridEdgeSetT B) {
     HybridParams PU = mergedParams(A, B);
     if (!A.isTree() || !B.isTree()) {
-      // Probe the smaller (inline) side against the larger: O(k) probes,
-      // O(1) each when the large side is hot.
+      // Probe the smaller (inline) side against the larger: O(k) probes.
       const HybridEdgeSetT &Small = !A.isTree() ? A : B;
       const HybridEdgeSetT &Large = !A.isTree() ? B : A;
       HybridEdgeSetT Out;
@@ -460,34 +420,16 @@ public:
 
   bool checkInvariants(BuildParams = {}) const {
     if (!isTree()) {
-      if (Tag > InlineCap || Tag > P.InlineMax)
+      if (Tag > InlineCap)
         return false;
       for (uint8_t I = 1; I < Tag; ++I)
         if (R.Inline[I - 1] >= R.Inline[I])
           return false;
       return true;
     }
-    size_t N = size();
-    if (N <= P.InlineMax)
+    if (size() <= InlineCap)
       return false; // should have migrated to the inline class
-    if (!borrowCSet().checkInvariants({P.headMask()}))
-      return false;
-    const EdgeSidecar<K> *Side = R.Tr.Side;
-    if (N >= P.HotMin && !Side) {
-      // Only legitimate when the reserved sentinel key is an element
-      // (buildSidecar refuses it and callers fall back to chunk scans).
-      if (!borrowCSet().contains(EdgeSidecar<K>::EmptySlot))
-        return false;
-    }
-    if (Side) {
-      if (N < P.HotMin || Side->Count != N)
-        return false;
-      bool Ok = true;
-      forEachSeq([&](K V) { Ok = Ok && sidecarContains(Side, V); });
-      if (!Ok)
-        return false;
-    }
-    return true;
+    return borrowCSet().checkInvariants({P.headMask()});
   }
 
 private:
@@ -498,9 +440,8 @@ private:
     struct TreeRep {
       Node *Root;
       Payload *Prefix;
-      EdgeSidecar<K> *Side;
     } Tr;
-    Rep() : Tr{nullptr, nullptr, nullptr} {}
+    Rep() : Tr{nullptr, nullptr} {}
   };
 
   bool isTree() const { return Tag == TreeTag; }
@@ -529,7 +470,6 @@ private:
   CSet takeCSet(HybridParams PU) {
     if (isTree()) {
       CSet S(R.Tr.Root, R.Tr.Prefix);
-      releaseSidecar(R.Tr.Side);
       Tag = 0;
       return S;
     }
@@ -538,31 +478,28 @@ private:
     return S;
   }
 
-  /// Adopt \p S (consumed) as this set's tree rep with \p Side adopted.
-  void adoptTree(CSet &S, EdgeSidecar<K> *Side) {
+  /// Adopt \p S (consumed) as this set's tree rep.
+  void adoptTree(CSet &S) {
     // Steal the root/prefix by retaining, then letting S release.
     CT::retain(S.root());
     retainChunk(S.prefix());
-    R.Tr = {S.root(), S.prefix(), Side};
+    R.Tr = {S.root(), S.prefix()};
     Tag = TreeTag;
   }
 
   /// Reclassify a merge result by its post-merge degree: decode small
-  /// results into the inline class, rebuild the sidecar for hot ones.
+  /// results into the inline class, keep the C-tree otherwise.
   static HybridEdgeSetT fromCSet(CSet S, HybridParams P) {
     size_t N = S.size();
     HybridEdgeSetT Out;
     Out.P = P;
-    if (N <= P.InlineMax && N <= InlineCap) {
+    if (N <= InlineCap) {
       size_t I = 0;
       S.forEachSeq([&](K V) { Out.R.Inline[I++] = V; });
       Out.Tag = uint8_t(N);
       return Out;
     }
-    EdgeSidecar<K> *Side = nullptr;
-    if (N >= P.HotMin)
-      Side = buildSidecar<K>(N, [&](auto Sink) { S.forEachSeq(Sink); });
-    Out.adoptTree(S, Side);
+    Out.adoptTree(S);
     return Out;
   }
 

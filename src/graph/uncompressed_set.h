@@ -124,9 +124,6 @@ public:
     /// Membership: O(log n) tree search.
     bool contains(K X) const { return T::findNode(Root, X) != nullptr; }
 
-    /// No O(1) membership index on a plain tree view.
-    bool hasFastProbe() const { return false; }
-
     /// Streaming in-order cursor (mirrors CTreeSet::View::Cursor so the
     /// graph layer compiles against either edge-set representation).
     class Cursor {

@@ -89,15 +89,6 @@ struct HasNeighborCursor<
            decltype(std::declval<const V &>().neighborCursor(VertexId()))>>
     : std::true_type {};
 
-template <class V, class = void>
-struct HasContainsEdge : std::false_type {};
-template <class V>
-struct HasContainsEdge<
-    V, std::void_t<decltype(bool(std::declval<const V &>().containsEdge(
-                       VertexId(), VertexId()))),
-                   decltype(bool(std::declval<const V &>().hasFastProbe(
-                       VertexId())))>> : std::true_type {};
-
 } // namespace detail
 
 /// True when \p V satisfies the graph-view concept consumed by edgeMap
@@ -113,15 +104,6 @@ inline constexpr bool IsGraphViewV = detail::IsGraphView<V>::value;
 template <class V>
 inline constexpr bool HasNeighborCursorV =
     detail::HasNeighborCursor<V>::value;
-
-/// True when \p V exposes the edge-existence probe surface:
-/// containsEdge(u, x) (membership of x in N(u)) and hasFastProbe(u)
-/// (true when those probes are O(1), e.g. a hot hybrid vertex's hash
-/// sidecar). Algorithms that intersect adjacency lists (triangleCount,
-/// twoHop) switch from scanning N(v) to probing it when the probe is
-/// fast and the candidate set is small.
-template <class V>
-inline constexpr bool HasContainsEdgeV = detail::HasContainsEdge<V>::value;
 
 /// edgeMap goes dense when |U| + sum deg(U) > m / DenseThresholdDenominator.
 /// 20 is Ligra's value. The dense scan visits all n vertices but reads

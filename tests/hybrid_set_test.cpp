@@ -1,11 +1,11 @@
 //===- tests/hybrid_set_test.cpp - Degree-adaptive hybrid edge sets -------===//
 //
-// The hybrid representation (graph/hybrid_set.h): degree-class boundaries
-// and migration across them, membership against std::set in every class,
-// sidecar refcount sharing across functional versions, the reserved-
-// sentinel fallback, differential equality of all ten algorithms on
-// hybrid vs pure-chunked views, and threshold-crossing churn through the
-// store at one shard and at four (including the flat refresh path).
+// The hybrid representation (graph/hybrid_set.h): the inline/chunked
+// class boundary and migration across it, membership against std::set in
+// both classes, the cost of an update to a high-degree vertex,
+// differential equality of all ten algorithms on hybrid vs pure-chunked
+// views, and threshold-crossing churn through the store at one shard and
+// at four (including the flat refresh path).
 //
 //===----------------------------------------------------------------------===//
 
@@ -34,12 +34,10 @@ namespace {
 using HS = HybridEdgeSetT<uint32_t, DeltaByteCodec>;
 using CS = CTreeSet<uint32_t, DeltaByteCodec>;
 
-/// Small thresholds so modest test sets exercise all three classes.
+/// A small chunk size so modest test sets span many chunks.
 HybridParams testParams() {
   HybridParams P;
   P.LogB = 4; // b = 16
-  P.InlineMax = 8;
-  P.HotMin = 64;
   return P;
 }
 
@@ -75,7 +73,7 @@ struct SequentialScope {
 
 TEST(HybridSet, ClassBoundaries) {
   HybridParams P = testParams();
-  // Exactly InlineMax elements: inline. One more: chunked. HotMin: hot.
+  // Exactly HybridInlineCap elements: inline. One more: chunked.
   for (size_t N : {size_t(0), size_t(1), size_t(8), size_t(9), size_t(63),
                    size_t(64), size_t(200)}) {
     std::vector<uint32_t> E(N);
@@ -84,12 +82,10 @@ TEST(HybridSet, ClassBoundaries) {
     HS S = HS::buildSorted(E.data(), E.size(), P);
     ASSERT_EQ(S.size(), N);
     ASSERT_TRUE(S.checkInvariants(P)) << "N=" << N;
-    HybridClass Expect = N <= P.InlineMax ? HybridClass::Inline
-                         : N >= P.HotMin  ? HybridClass::Hot
-                                          : HybridClass::Chunked;
+    HybridClass Expect = N <= HybridInlineCap ? HybridClass::Inline
+                                              : HybridClass::Chunked;
     EXPECT_EQ(int(S.degreeClass()), int(Expect)) << "N=" << N;
-    EXPECT_EQ(S.sidecar() != nullptr, Expect == HybridClass::Hot);
-    EXPECT_EQ(S.hasFastProbe(), Expect == HybridClass::Hot);
+    EXPECT_EQ(S.memoryBytes() == 0, Expect == HybridClass::Inline);
     EXPECT_EQ(S.toVector(), E);
   }
 }
@@ -174,14 +170,14 @@ TEST(HybridSet, ChurnAcrossAllThresholds) {
       }
       CheckAll(Round);
     }
-    // Force the full arc: grow far past HotMin, then shrink to inline,
+    // Force the full arc: grow to many chunks, then shrink to inline,
     // then to empty.
     std::vector<uint32_t> Big(300);
     for (size_t I = 0; I < Big.size(); ++I)
       Big[I] = uint32_t(1000 + I);
     S = S.multiInsert(Big, P);
     Ref.insert(Big.begin(), Big.end());
-    EXPECT_EQ(int(S.degreeClass()), int(HybridClass::Hot));
+    EXPECT_EQ(int(S.degreeClass()), int(HybridClass::Chunked));
     CheckAll(100);
 
     std::vector<uint32_t> All(Ref.begin(), Ref.end());
@@ -196,14 +192,14 @@ TEST(HybridSet, ChurnAcrossAllThresholds) {
     S = S.multiDelete(Keep, P);
     EXPECT_TRUE(S.empty());
   }
-  EXPECT_EQ(liveCountedBytes(), BaseBytes) << "leaked chunks or sidecars";
+  EXPECT_EQ(liveCountedBytes(), BaseBytes) << "leaked chunks";
   EXPECT_EQ(NodePool<HS::Node>::liveCount(), BaseNodes)
       << "leaked tree nodes";
 }
 
 TEST(HybridSet, SetAlgebraMatchesReference) {
   HybridParams P = testParams();
-  // Mixed classes on both sides: inline x chunked, chunked x hot, ...
+  // Mixed classes on both sides: inline x chunked, chunked x chunked, ...
   const size_t Sizes[] = {4, 30, 120};
   for (size_t NA : Sizes) {
     for (size_t NB : Sizes) {
@@ -236,53 +232,9 @@ TEST(HybridSet, SetAlgebraMatchesReference) {
   }
 }
 
-TEST(HybridSet, SentinelElementFallsBackToChunkScan) {
-  // The sidecar reserves ~0 as the empty-slot marker; a hot set that
-  // actually contains it must decline the sidecar and stay correct
-  // through chunk scans.
-  HybridParams P = testParams();
-  std::vector<uint32_t> E(100);
-  for (size_t I = 0; I + 1 < E.size(); ++I)
-    E[I] = uint32_t(5 * I);
-  E.back() = ~0u;
-  std::sort(E.begin(), E.end());
-  HS S = HS::buildSorted(E.data(), E.size(), P);
-  // degreeClass() reports the representation: with the sidecar declined,
-  // a hot-degree set stays in the chunked class.
-  ASSERT_GE(S.size(), size_t(P.HotMin));
-  EXPECT_EQ(int(S.degreeClass()), int(HybridClass::Chunked));
-  EXPECT_EQ(S.sidecar(), nullptr);
-  EXPECT_FALSE(S.hasFastProbe());
-  EXPECT_TRUE(S.checkInvariants(P));
-  EXPECT_TRUE(S.contains(~0u));
-  EXPECT_TRUE(S.contains(0));
-  EXPECT_FALSE(S.contains(7));
-  // Removing the sentinel restores the sidecar on the next migration.
-  HS S2 = S.multiDelete({~0u}, P);
-  EXPECT_NE(S2.sidecar(), nullptr);
-  EXPECT_TRUE(S2.checkInvariants(P));
-}
-
-TEST(HybridSet, SidecarSharedAcrossVersions) {
-  HybridParams P = testParams();
-  auto E = sortedUnique(randomKeys(200, 77, 4000));
-  HS V1 = HS::buildSorted(E.data(), E.size(), P);
-  ASSERT_NE(V1.sidecar(), nullptr);
-  // A copy shares the sidecar (refcount bump, no rebuild).
-  HS V2 = V1;
-  EXPECT_EQ(V1.sidecar(), V2.sidecar());
-  // An update rebuilds it functionally; the old version keeps the old one.
-  HS V3 = V1.multiInsert(randomKeys(50, 78, 8000), P);
-  EXPECT_NE(V3.sidecar(), nullptr);
-  EXPECT_NE(V3.sidecar(), V1.sidecar());
-  EXPECT_EQ(V1.sidecar(), V2.sidecar());
-  EXPECT_TRUE(V1.checkInvariants(P));
-  EXPECT_TRUE(V3.checkInvariants(P));
-}
-
 //===----------------------------------------------------------------------===
-// Graph-level: sidecar sharing through functional snapshots, and the
-// containsEdge probe surface.
+// Graph-level: the cost of a hub update, and the containsEdge probe
+// surface.
 //===----------------------------------------------------------------------===
 
 namespace {
@@ -294,31 +246,33 @@ HybridGraph hybridGraph(VertexId N, const std::vector<EdgePair> &Edges,
 
 } // namespace
 
-TEST(HybridGraph, UntouchedHotVertexSharesSidecarAcrossSnapshots) {
-  HybridParams P = testParams();
-  const VertexId N = 256;
-  // Vertex 0 is hot: edges to every odd vertex id and beyond HotMin.
-  std::vector<EdgePair> Edges;
-  for (VertexId V = 1; V < 200; ++V) {
-    Edges.push_back({0, V});
-    Edges.push_back({V, 0});
+// A flat-snapshot slot (key, degree, view) fills one cache line.
+static_assert(sizeof(VertexSlot<HybridEdgeSet>) == 64,
+              "a hybrid vertex slot must stay one cache line");
+
+TEST(HybridGraph, HubUpdateCostIndependentOfDegree) {
+  // One hub grows to high degree; a 20-edge insert into it must allocate
+  // only the chunks on its paths, not anything sized by the degree. The
+  // old snapshot stays pinned, so every byte the insert allocates stays
+  // live and shows in liveCountedBytes().
+  const VertexId N = 1 << 17, Hub = 0;
+  for (VertexId Degree : {VertexId(2000), VertexId(55000)}) {
+    std::vector<EdgePair> Edges;
+    for (VertexId I = 1; I <= Degree; ++I)
+      Edges.push_back({Hub, 2 * I});
+    HybridGraph G = HybridGraph::fromEdges(N, Edges);
+    ASSERT_EQ(G.degree(Hub), Degree);
+    std::vector<EdgePair> Batch;
+    for (VertexId I = 0; I < 20; ++I)
+      Batch.push_back({Hub, 2 * (I * (Degree / 20)) + 1});
+    int64_t Before = liveCountedBytes();
+    HybridGraph G2 = G.insertEdges(Batch);
+    int64_t Growth = liveCountedBytes() - Before;
+    ASSERT_EQ(G2.degree(Hub), Degree + 20);
+    EXPECT_LT(Growth, int64_t(16 << 10)) << "degree " << Degree;
+    EXPECT_TRUE(G2.checkInvariants());
+    EXPECT_EQ(G.degree(Hub), Degree);
   }
-  HybridGraph G1 = hybridGraph(N, Edges, P);
-  const EdgeSidecar<VertexId> *S1 = G1.findVertex(0).sidecar();
-  ASSERT_NE(S1, nullptr);
-
-  // A batch that does not touch vertex 0: the new snapshot must share
-  // the exact sidecar object (and the old snapshot stays intact).
-  HybridGraph G2 = G1.insertEdges({{201, 202}, {202, 201}});
-  EXPECT_EQ(G2.findVertex(0).sidecar(), S1);
-
-  // A batch that grows vertex 0 rebuilds its sidecar functionally.
-  HybridGraph G3 = G2.insertEdges({{0, 240}, {240, 0}});
-  const EdgeSidecar<VertexId> *S3 = G3.findVertex(0).sidecar();
-  ASSERT_NE(S3, nullptr);
-  EXPECT_NE(S3, S1);
-  EXPECT_EQ(G2.findVertex(0).sidecar(), S1);
-  EXPECT_TRUE(G3.checkInvariants());
 }
 
 TEST(HybridGraph, ContainsEdgeProbeSurface) {
@@ -331,9 +285,7 @@ TEST(HybridGraph, ContainsEdgeProbeSurface) {
   TreeGraphView<HybridEdgeSet> HV(G);
   FlatSnapshotT<HybridEdgeSet> FS(G);
   FlatGraphView<HybridEdgeSet> FV(FS);
-  static_assert(HasContainsEdgeV<TreeGraphView<HybridEdgeSet>>);
-  static_assert(HasContainsEdgeV<FlatGraphView<HybridEdgeSet>>);
-  static_assert(HasContainsEdgeV<TreeGraphView<CS>>);
+  TreeGraphView<CS> CV(GC);
 
   for (VertexId U = 0; U < N; U += 3) {
     auto Adj = GC.findVertex(U).toVector();
@@ -343,8 +295,8 @@ TEST(HybridGraph, ContainsEdgeProbeSurface) {
           << U << "->" << X;
       ASSERT_EQ(HV.containsEdge(U, X), Ref.count(X) > 0);
       ASSERT_EQ(FV.containsEdge(U, X), Ref.count(X) > 0);
+      ASSERT_EQ(CV.containsEdge(U, X), Ref.count(X) > 0);
     }
-    ASSERT_EQ(G.hasFastProbe(U), G.degree(U) >= P.HotMin);
   }
 }
 
@@ -374,8 +326,9 @@ TEST(HybridGraph, IsWithinTwoHopsMatchesMaterializedTwoHop) {
 
 namespace {
 
-/// Both views over the same logical graph: hybrid (with hot vertices
-/// under the test thresholds) and the default pure-chunked representation.
+/// Both views over the same logical graph: hybrid (inline and chunked
+/// vertices under the test chunk size) and the default pure-chunked
+/// representation.
 struct DiffPair {
   Graph Chunked;
   HybridGraph Hybrid;
@@ -452,14 +405,15 @@ TEST(HybridDifferential, IntegerAlgorithmsMatchUnderParallelism) {
 
 //===----------------------------------------------------------------------===
 // Threshold-crossing churn through the stores: one designated vertex is
-// driven past HotMin and back below InlineMax while the store replays the
+// driven past degree 64 and back below HybridInlineCap while the store
+// replays the
 // same batches into a pure-chunked reference; every epoch must agree,
 // including through acquireFlat()'s refresh path.
 //===----------------------------------------------------------------------===
 
 namespace {
 
-/// Batches driving vertex \p Hub across both thresholds and back.
+/// Batches driving vertex \p Hub across the class boundary and back.
 std::vector<std::pair<bool, std::vector<EdgePair>>>
 churnSchedule(VertexId N, VertexId Hub) {
   std::vector<std::pair<bool, std::vector<EdgePair>>> Out;
@@ -473,9 +427,9 @@ churnSchedule(VertexId N, VertexId Hub) {
     }
     return B;
   };
-  // Grow the hub past HotMin (64 under testParams) in two steps, with
-  // unrelated noise batches interleaved, then delete back below
-  // InlineMax, then a final regrow to mid (chunked) degree.
+  // Grow the hub past degree 64 (several chunks under testParams) in two
+  // steps, with unrelated noise batches interleaved, then delete back
+  // below HybridInlineCap, then a final regrow to chunked degree.
   Out.push_back({true, HubBatch(1, 40)});
   Out.push_back({true, randomBatch(N, 300, 91)});
   Out.push_back({true, HubBatch(40, 120)});
@@ -509,9 +463,11 @@ TEST(HybridStores, SingleShardChurnAcrossThresholds) {
     for (VertexId U = 0; U < N; ++U)
       ASSERT_EQ(G.findVertex(U).toVector(), Ref.findVertex(U).toVector())
           << "vertex " << U;
-    // Hot-class bookkeeping on the hub follows its current degree.
+    // The hub's class follows its current degree.
     HybridEdgeSet HubSet = G.findVertex(Hub);
-    EXPECT_EQ(HubSet.hasFastProbe(), HubSet.size() >= P.HotMin);
+    EXPECT_EQ(int(HubSet.degreeClass()),
+              int(HubSet.size() > HybridInlineCap ? HybridClass::Chunked
+                                                  : HybridClass::Inline));
     // The flat path must agree epoch to epoch (refresh or rebuild).
     auto FE = Store.acquireFlat();
     ASSERT_EQ(FE->NumEdges, Ref.numEdges());
@@ -530,7 +486,7 @@ TEST(HybridStores, ShardedChurnAcrossThresholds) {
   HybridParams P = testParams();
   const VertexId N = 256, Hub = 0;
   HybridShardedGraphStore Store(4, N, {}, P);
-  EXPECT_EQ(Store.buildParams().HotMin, P.HotMin);
+  EXPECT_EQ(Store.buildParams(), P);
   Graph Ref = Graph::fromEdges(N, {});
 
   for (auto &[IsInsert, Batch] : churnSchedule(N, Hub)) {
@@ -543,6 +499,8 @@ TEST(HybridStores, ShardedChurnAcrossThresholds) {
     }
     auto E = Store.acquire();
     ASSERT_EQ(E.numEdges(), Ref.numEdges());
+    for (size_t Sh = 0; Sh < 4; ++Sh)
+      ASSERT_TRUE(E.shard(Sh).checkInvariants()) << "shard " << Sh;
     auto V = E.view();
     for (VertexId U = 0; U < N; ++U) {
       std::vector<VertexId> Adj;
@@ -552,7 +510,6 @@ TEST(HybridStores, ShardedChurnAcrossThresholds) {
       ASSERT_EQ(V.containsEdge(U, Hub),
                 Ref.edgesView(U).contains(Hub));
     }
-    EXPECT_EQ(V.hasFastProbe(Hub), V.degree(Hub) >= P.HotMin);
     // Flat epoch agreement (composed hot-flat view).
     auto FE = Store.acquireFlat();
     auto FV = FE->view();
@@ -583,5 +540,5 @@ TEST(HybridStores, NoLeaksThroughVersionChains) {
       Store.deleteBatch(randomBatch(N, 300, 700 + B));
   }
   EXPECT_EQ(liveCountedBytes(), BaseBytes)
-      << "leaked chunks or sidecars through the version chain";
+      << "leaked chunks through the version chain";
 }
